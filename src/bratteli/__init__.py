@@ -13,9 +13,10 @@ from .diagram import (DEFAULT_BUDGET, Diagram, IdealPart, Level,
                       ideal_subdiagram, interpolate_strong, load_diagram,
                       parse_diagram, promote_stationary, telescope,
                       validate_unordered)
-from .dynamics import (CylinderGraph, Diverges, chain_transitive,
+from .dynamics import (CylinderGraph, Diverges, TowerGraph, chain_transitive,
                        cover_steps, cylinder_graph, epsilon_chain, metric,
-                       path_text, pseudo_orbit, saturation_sets)
+                       path_text, pseudo_orbit, saturation_sets,
+                       saturation_sizes, tower_graph)
 from .ktheory import (IndexSet, bounded_norm_membership,
                       check_index_relations, class_is_zero, eq,
                       index_elements, is_positive, order_unit, push_once,

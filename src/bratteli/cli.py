@@ -4,8 +4,9 @@ Every command is a pure function of its input files and flags, so
 repeated invocations print byte-identical output.  Exit codes follow
 the verdict lattice: 0 when everything asked for Holds, 1 when a check
 Fails (the counterexample is in the output), 2 on usage or parse
-errors, 3 when a verdict stayed Unknown within budget.  With --strict
-an Unknown exits 1 instead.
+errors, 3 when a verdict stayed Unknown within budget, 4 when the
+program itself broke (a bug, never a verdict).  With --strict an
+Unknown exits 1 instead.
 
 Paths on the command line are written END:r1,r2,...,rN with one-based
 fiber ranks, deepest edge last; the same shape the orbit and chain
@@ -24,7 +25,7 @@ from .diagram import (DEFAULT_BUDGET, load_diagram, telescope,
                       validate_unordered)
 from .dynamics import (Diverges, chain_transitive, cover_steps,
                        cylinder_graph, epsilon_chain, path_text, pseudo_orbit,
-                       saturation_sets)
+                       saturation_sizes, tower_graph)
 from .ktheory import (bounded_norm_membership, check_index_relations,
                       class_is_zero, index_elements, is_positive, pushforward,
                       rational_rank_lower_bound)
@@ -253,20 +254,20 @@ def cmd_chain(args):
     if args.start is None:
         if args.depth is None:
             raise DiagramError("chain needs either a start path or --depth")
-        g = cylinder_graph(d, args.depth, args.lookahead)
         if args.format == "dot":
-            _emit(g.to_dot(), args)
+            _emit(cylinder_graph(d, args.depth, args.lookahead).to_dot(), args)
             return 0
+        g = tower_graph(d, args.depth, args.lookahead)
         verdict, wit = chain_transitive(d, args.depth, graph=g)
-        sat = saturation_sets(d, args.depth, graph=g)
-        doc = {"depth": args.depth, "nodes": len(g),
+        sat = saturation_sizes(d, args.depth, graph=g)
+        doc = {"depth": args.depth, "nodes": g.size,
                "chain_transitive": verdict, "witness": wit,
-               "saturation": {"Y%d" % i: len(s)
-                              for i, s in sorted(sat.items())}}
+               "saturation": {"Y%d" % i: size
+                              for i, size in sorted(sat.items())}}
         if args.format == "text":
-            lines = ["chain_transitive %s nodes=%d" % (verdict, len(g))]
-            lines.extend("E%d covers %d/%d" % (i, len(s), len(g))
-                         for i, s in sorted(sat.items()))
+            lines = ["chain_transitive %s nodes=%d" % (verdict, g.size)]
+            lines.extend("E%d covers %d/%d" % (i, size, g.size)
+                         for i, size in sorted(sat.items()))
             _emit("\n".join(lines) + "\n", args)
         else:
             _emit(_dump(doc), args)
@@ -380,6 +381,16 @@ def cmd_kpush(args):
     return 0
 
 
+def _lookahead(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
 def _add_common(sp, fmt=("json", "text")):
     sp.add_argument("diagram", help="diagram JSON file")
     sp.add_argument("--format", choices=fmt, default="json")
@@ -465,7 +476,7 @@ def _build_parser():
                     help="shortest closed chain through the start path")
     sp.add_argument("--depth", type=int, default=None,
                     help="cylinder depth for the transitivity report")
-    sp.add_argument("--lookahead", type=int, default=2)
+    sp.add_argument("--lookahead", type=_lookahead, default=2)
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_chain)
 
@@ -479,7 +490,7 @@ def _build_parser():
                     help="cylinder depth for the default set")
     sp.add_argument("--direction", choices=("forward", "backward"),
                     default="forward")
-    sp.add_argument("--lookahead", type=int, default=2)
+    sp.add_argument("--lookahead", type=_lookahead, default=2)
     sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("kpush", help="transport a K-theory vector and "
@@ -518,6 +529,13 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         print("error: not valid JSON: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not a verdict: say so, keep the traceback for the report
+        import traceback
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,6 +6,14 @@ from cylinder p to cylinder q whenever some point of p steps into q
 turns questions about epsilon-chains (with epsilon = 2^-N) into plain
 graph reachability, and everything here is built on that translation.
 
+The cylinders over a level-N vertex form its Kakutani-Rokhlin tower,
+and inside a tower the successor just climbs one floor.  So the step
+relation is kept as a quotient with one node per tower, weighted by
+its height: only the tower tops get a ``vershik_step``, and each of
+them lands on ground floors.  Verdicts, node counts and saturation
+sizes are read off the quotient; cylinders are listed only where the
+output names them.
+
 Edges leaving a cylinder whose deeper continuations the lookahead could
 not resolve are withheld rather than guessed; such nodes are flagged and
 verdicts that would rely on them degrade to Unknown.
@@ -17,7 +25,8 @@ from collections import deque
 from fractions import Fraction
 
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
-from .order import MAX, MIN, enumerate_paths, extreme_chains
+from .diagram import OTHER, ROOT
+from .order import MAX, MIN, enumerate_paths, extreme_chains, extreme_path
 from .vershik import vershik_step
 
 
@@ -43,6 +52,66 @@ def path_text(p):
     return "|".join(bits)
 
 
+def _reverse(out):
+    rev = [[] for _ in out]
+    for v, outs in enumerate(out):
+        for w in outs:
+            rev[w].append(v)
+    return [tuple(r) for r in rev]
+
+
+class TowerGraph:
+    """Step relation between the level-N towers.
+
+    Tower t stands over ``vertices[t]`` and has ``heights[t]`` floors,
+    the depth-N cylinders into that vertex in lex order.  Every floor
+    but the top steps to the floor above it, so only the top carries
+    edges: ``out[t]`` lists the towers whose ground floors its step
+    reaches.  A flagged tower's top has unresolved continuations and
+    its out-edges are withheld.
+    """
+
+    __slots__ = ("diagram", "depth", "lookahead", "vertices", "heights",
+                 "out", "flagged", "size")
+
+    def __init__(self, diagram, depth, lookahead, vertices, heights, out,
+                 flagged):
+        self.diagram = diagram
+        self.depth = depth
+        self.lookahead = lookahead
+        self.vertices = tuple(vertices)
+        self.heights = tuple(heights)
+        self.out = tuple(tuple(sorted(t)) for t in out)
+        self.flagged = frozenset(flagged)
+        self.size = sum(self.heights)
+
+    def floors(self, t):
+        """The cylinders of tower t, ground floor first."""
+        return enumerate_paths(self.diagram, self.vertices[t], self.depth)
+
+    def expand(self):
+        """The CylinderGraph this quotient stands for.
+
+        Floor j of a tower steps to floor j+1 and the top to the ground
+        floors of the towers its step reaches, so no step is computed
+        per node.
+        """
+        nodes = []
+        ground = []
+        for t in range(len(self.vertices)):
+            ground.append(len(nodes))
+            nodes.extend(self.floors(t))
+        out = []
+        flagged = []
+        for t, outs in enumerate(self.out):
+            top = ground[t] + self.heights[t] - 1
+            out.extend((j + 1,) for j in range(ground[t], top))
+            out.append(tuple(ground[u] for u in outs))
+            if t in self.flagged:
+                flagged.append(top)
+        return CylinderGraph(self.depth, self.lookahead, nodes, out, flagged)
+
+
 class CylinderGraph:
     """Step relation between the depth-N cylinders.
 
@@ -53,6 +122,9 @@ class CylinderGraph:
     cylinders with unresolved continuations: their out-edges are
     withheld entirely, so the graph under-approximates the dynamics
     there and never invents a step.
+
+    The analysis treats it as a tower graph whose towers all have
+    height 1, so hand-built relations go through the same routine.
     """
 
     __slots__ = ("depth", "lookahead", "nodes", "index", "out", "flagged",
@@ -70,13 +142,20 @@ class CylinderGraph:
     def __len__(self):
         return len(self.nodes)
 
+    @property
+    def size(self):
+        return len(self.nodes)
+
+    @property
+    def heights(self):
+        return (1,) * len(self.nodes)
+
+    def floors(self, t):
+        return (self.nodes[t],)
+
     def reverse(self):
         """In-edge lists, aligned with the node indexing."""
-        rev = [[] for _ in self.nodes]
-        for v, outs in enumerate(self.out):
-            for w in outs:
-                rev[w].append(v)
-        return [tuple(r) for r in rev]
+        return _reverse(self.out)
 
     def to_dot(self):
         lines = ["digraph cylinders {", "  rankdir=LR;"]
@@ -90,44 +169,51 @@ class CylinderGraph:
         return "\n".join(lines) + "\n"
 
 
-def cylinder_graph(d, depth, lookahead=2, chains=None):
-    """Build the step relation between depth-N cylinders.
+def tower_graph(d, depth, lookahead=2, chains=None):
+    """Build the step relation between the level-N towers.
 
-    Every node keeps out-degree at least one except flagged ones, and
-    when nothing is flagged the in-degrees are checked to be positive
-    too; a zero in-degree then means the order itself is defective, not
-    the resolution.
+    One ``vershik_step`` per tower top.  Every top keeps at least one
+    target unless flagged, and when nothing is flagged every ground
+    floor must be some top's target; a miss then means the order itself
+    is defective, not the resolution.
     """
     if depth < 1:
         raise DiagramError("cylinder resolution needs depth at least 1")
     if chains is None:
         chains = (extreme_chains(d, MIN), extreme_chains(d, MAX))
-    nodes = []
-    for v in d.vertices(depth):
-        nodes.extend(enumerate_paths(d, v, depth))
-    index = {p: i for i, p in enumerate(nodes)}
+    vertices = d.vertices(depth)
+    index = {v: t for t, v in enumerate(vertices)}
     out = []
-    flagged = set()
-    for i, p in enumerate(nodes):
-        img = vershik_step(d, p, lookahead, chains)
+    flagged = []
+    for t, v in enumerate(vertices):
+        top = extreme_path(d, v, depth, MAX)
+        img = vershik_step(d, top, lookahead, chains)
         if img.unresolved:
-            flagged.add(i)
+            flagged.append(t)
             out.append(())
             continue
         if not img.targets:
-            raise DiagramError("no forward step out of %s" % path_text(p))
-        out.append(tuple(index[q] for q in img.targets))
-    g = CylinderGraph(depth, lookahead, nodes, out, flagged)
+            raise DiagramError("no forward step out of %s" % path_text(top))
+        for q in img.targets:
+            if any(q.ranks):
+                raise RuntimeError("step target %s is not a ground floor"
+                                   % path_text(q))
+        out.append([index[q.end] for q in img.targets])
     if not flagged:
-        indeg = [0] * len(nodes)
-        for outs in g.out:
-            for w in outs:
-                indeg[w] += 1
-        for i, deg in enumerate(indeg):
-            if deg == 0:
+        hit = {u for outs in out for u in outs}
+        for t, v in enumerate(vertices):
+            if t not in hit:
+                ground = extreme_path(d, v, depth, MIN)
                 raise DiagramError("cylinder %s has no predecessor"
-                                   % path_text(nodes[i]))
-    return g
+                                   % path_text(ground))
+    return TowerGraph(d, depth, lookahead, vertices, d.path_counts(depth),
+                      out, flagged)
+
+
+def cylinder_graph(d, depth, lookahead=2, chains=None):
+    """The step relation between depth-N cylinders, expanded from the
+    tower graph."""
+    return tower_graph(d, depth, lookahead, chains).expand()
 
 
 def _reach(adj, starts):
@@ -163,10 +249,7 @@ def _sccs(adj):
                     stack.append((w, 0))
             else:
                 order.append(v)
-    rev = [[] for _ in range(n)]
-    for v in range(n):
-        for w in adj[v]:
-            rev[w].append(v)
+    rev = _reverse(adj)
     comp = [None] * n
     comps = []
     for s in reversed(order):
@@ -186,38 +269,76 @@ def _sccs(adj):
     return comps, comp
 
 
-def _analyze(g):
-    """Chain transitivity verdict of a built cylinder graph."""
-    n = len(g.nodes)
+def _decide(g):
+    """Verdict of a tower or cylinder graph, and for a Fails the closed
+    cut as (its towers in listing order, whether it is only the top
+    floor of its one tower).
+
+    The closed classes of the cylinder relation come from the closed
+    strongly connected sets of towers: one that holds a cycle closes
+    every floor of its towers, and a tower with no out-edge at all
+    closes only its top floor.
+    """
+    n = g.size
+    heights = g.heights
     comps, comp = _sccs(g.out)
     terminal = [True] * len(comps)
-    for v in range(n):
-        for w in g.out[v]:
+    for v, outs in enumerate(g.out):
+        for w in outs:
             if comp[w] != comp[v]:
                 terminal[comp[v]] = False
-    cuts = [c for t, c in zip(terminal, comps)
-            if t and len(c) < n and not (set(c) & g.flagged)]
+    cuts = []
+    for c, members in enumerate(comps):
+        if not terminal[c] or g.flagged.intersection(members):
+            continue
+        towers = sorted(members)
+        top_only = len(towers) == 1 and not g.out[towers[0]]
+        size = 1 if top_only else sum(heights[t] for t in towers)
+        if size < n:
+            cuts.append((towers, top_only))
+    cut = None
     if cuts:
-        cut = sorted(min(cuts, key=min))
+        # towers are consecutive node ranges, so the cut with the first
+        # tower holds the first node
         verdict = FAILS
-        witness = {"cut_size": len(cut),
-                   "cut": tuple(path_text(g.nodes[v]) for v in cut)}
+        cut = min(cuts, key=lambda c: c[0][0])
     elif g.flagged:
         verdict = UNKNOWN
-        witness = {"unresolved": len(g.flagged), "lookahead": g.lookahead}
     else:
         verdict = HOLDS
-        witness = {"nodes": n, "resolution": g.depth}
     if not g.flagged:
-        # second opinion through plain reachability: strong connectivity
-        # is reaching everything from node 0 and node 0 from everything
-        rev = g.reverse()
-        alt = (HOLDS if len(_reach(g.out, (0,))) == n
-               and len(_reach(rev, (0,))) == n else FAILS)
+        # second opinion through plain reachability: every floor reaches
+        # every other exactly when each top steps somewhere and the
+        # towers are strongly connected
+        m = len(g.out)
+        alt = (HOLDS if n == 1 or (all(g.out)
+                                    and len(_reach(g.out, (0,))) == m
+                                    and len(_reach(_reverse(g.out),
+                                                   (0,))) == m)
+               else FAILS)
         if alt != verdict:
             raise AssertionError("connectivity checks disagree at depth %d"
                                  % g.depth)
-    return verdict, witness
+    return verdict, cut
+
+
+def _analyze(g):
+    """Chain transitivity verdict and witness; only a Fails cut is
+    listed as paths, towers in listing order and floors bottom up."""
+    verdict, cut = _decide(g)
+    if verdict == FAILS:
+        towers, top_only = cut
+        if top_only:
+            *_, top = g.floors(towers[0])
+            paths = [top]
+        else:
+            paths = [p for t in towers for p in g.floors(t)]
+        return verdict, {"cut_size": len(paths),
+                         "cut": tuple(path_text(p) for p in paths)}
+    if verdict == UNKNOWN:
+        return verdict, {"unresolved": len(g.flagged),
+                         "lookahead": g.lookahead}
+    return verdict, {"nodes": g.size, "resolution": g.depth}
 
 
 def chain_transitive(d, depth, lookahead=2, graph=None):
@@ -226,7 +347,7 @@ def chain_transitive(d, depth, lookahead=2, graph=None):
     Fails comes with a proper nonempty set of cylinders that no chain
     escapes; Holds means the step relation is strongly connected.
     """
-    g = graph if graph is not None else cylinder_graph(d, depth, lookahead)
+    g = graph if graph is not None else tower_graph(d, depth, lookahead)
     return _analyze(g)
 
 
@@ -275,42 +396,110 @@ def epsilon_chain(d, p, q, lookahead=2, graph=None):
                        % (path_text(p), path_text(q), g.depth, extra))
 
 
-def _families(d, g):
-    """Node indices of the cylinders lying inside each minimal class."""
-    fams = {i: [] for i in range(1, d.k + 1)}
-    for idx, p in enumerate(g.nodes):
-        classes = {d.label(lvl, v)
-                   for lvl, v in enumerate(p.verts, start=1)}
-        if len(classes) == 1:
-            i = classes.pop()
-            if i:
-                fams[i].append(idx)
-    for i, fam in fams.items():
-        if not fam:
+def _inside(d, p):
+    """Component i when every vertex of p lies in V_i, else 0."""
+    classes = {d.label(lvl, v) for lvl, v in enumerate(p.verts, start=1)}
+    return classes.pop() if len(classes) == 1 else OTHER
+
+
+def _highest_floors(d, depth, vertices):
+    """Per class i, the index of each tower's highest floor inside V_i.
+
+    One pass up the levels records path counts and, per vertex, the
+    class whose paths reach it without leaving that class (the root
+    belongs to every class).  The highest such floor is the lex-largest
+    such path, found greedily from the top edge down; its floor index
+    sums the counts below the edges it passes over.
+    """
+    counts = [{ROOT: 1}]
+    inside = [{ROOT: None}]
+    for n in range(1, depth + 1):
+        lev = d.level(n)
+        below, ins = counts[-1], inside[-1]
+        counts.append({v: sum(below[s] for s in lev.fibers[v])
+                       for v in lev.ids})
+        reached = {}
+        for v in lev.ids:
+            lab = lev.labels[v]
+            kept = lab != OTHER and any(ins[s] in (lab, None)
+                                        for s in lev.fibers[v])
+            reached[v] = lab if kept else OTHER
+        inside.append(reached)
+    tops = {i: [-1] * len(vertices) for i in range(1, d.k + 1)}
+    for t, v in enumerate(vertices):
+        i = inside[depth][v]
+        if i == OTHER:
+            continue
+        floor, cur = 0, v
+        for n in range(depth, 0, -1):
+            fib = d.fiber(n, cur)
+            r = max(r for r, s in enumerate(fib) if inside[n - 1][s]
+                    in (i, None))
+            floor += sum(counts[n - 1][s] for s in fib[:r])
+            cur = fib[r]
+        tops[i][t] = floor
+    return tops
+
+
+def _class_floors(d, g):
+    """Per class i, each tower's highest floor inside V_i, or -1."""
+    if isinstance(g, TowerGraph):
+        tops = _highest_floors(d, g.depth, g.vertices)
+    else:
+        tops = {i: [-1] * len(g.nodes) for i in range(1, d.k + 1)}
+        for t, p in enumerate(g.nodes):
+            i = _inside(d, p)
+            if i != OTHER:
+                tops[i][t] = 0
+    for i, top in tops.items():
+        if all(f < 0 for f in top):
             raise DiagramError("no cylinder sits inside component %d at "
                                "depth %d" % (i, g.depth))
-    return fams
+    return tops
+
+
+def _saturation(d, g):
+    """Per class i and tower, how many floors chain into V_i.
+
+    A floor reaches the floors above it and whatever its tower's top
+    reaches; a top reaches every floor of the towers its step leads to.
+    So a tower counts whole when some tower its top steps to reaches a
+    tower with a floor inside V_i, and otherwise up to its own highest
+    such floor.  Chain transitivity makes every count full, which is
+    cross-checked.  The converse fails: a closed cut holding cylinders of
+    every class leaves the counts full under a Fails.
+    """
+    rev = _reverse(g.out)
+    sat = {}
+    for i, top in _class_floors(d, g).items():
+        reach = _reach(rev, [t for t, f in enumerate(top) if f >= 0])
+        sat[i] = [h if any(u in reach for u in outs) else f + 1
+                  for h, outs, f in zip(g.heights, g.out, top)]
+    verdict, _ = _decide(g)
+    if verdict == HOLDS and any(sum(c) != g.size for c in sat.values()):
+        raise AssertionError("saturation sets disagree with chain "
+                             "transitivity at depth %d" % g.depth)
+    return sat
+
+
+def saturation_sizes(d, depth, lookahead=2, graph=None):
+    """How many cylinders chain into each minimal class, without
+    listing them: {i: count}."""
+    g = graph if graph is not None else tower_graph(d, depth, lookahead)
+    return {i: sum(c) for i, c in _saturation(d, g).items()}
 
 
 def saturation_sets(d, depth, lookahead=2, graph=None):
     """Cylinders from which each minimal class is chain-reachable.
 
     Returns {i: frozenset of paths that reach some cylinder inside
-    component i}.  All sets being everything is equivalent to chain
-    transitivity, and the two computations are cross-checked here
-    whenever the graph is fully resolved.
+    component i}.  The reaching floors of a tower are its lowest ones,
+    so each set is listed from the per-tower counts.
     """
-    g = graph if graph is not None else cylinder_graph(d, depth, lookahead)
-    rev = g.reverse()
-    fams = _families(d, g)
-    sets = {i: _reach(rev, fam) for i, fam in fams.items()}
-    verdict, _ = _analyze(g)
-    if verdict != UNKNOWN:
-        full = all(len(s) == len(g.nodes) for s in sets.values())
-        if full != (verdict == HOLDS):
-            raise AssertionError("saturation sets disagree with chain "
-                                 "transitivity at depth %d" % g.depth)
-    return {i: frozenset(g.nodes[v] for v in s) for i, s in sets.items()}
+    g = graph if graph is not None else tower_graph(d, depth, lookahead)
+    return {i: frozenset(p for t, c in enumerate(counts) if c
+                         for _, p in zip(range(c), g.floors(t)))
+            for i, counts in _saturation(d, g).items()}
 
 
 class Diverges:
@@ -343,15 +532,16 @@ def cover_steps(d, cylinders, direction="forward", lookahead=2, graph=None):
         raise DiagramError("covering set mixes depths")
     if direction not in ("forward", "backward"):
         raise DiagramError("direction must be forward or backward")
-    g = graph if graph is not None else cylinder_graph(d, depth, lookahead)
-    if g.flagged:
+    tg = graph if graph is not None else tower_graph(d, depth, lookahead)
+    if tg.flagged:
         raise DiagramError("%d cylinders unresolved at lookahead %d; sweep "
                            "counts would be unreliable"
-                           % (len(g.flagged), g.lookahead))
+                           % (len(tg.flagged), tg.lookahead))
+    g = tg.expand() if isinstance(tg, TowerGraph) else tg
     start = {_locate(g, p, "covering cylinder") for p in cyls}
-    fams = _families(d, g)
-    for i, fam in sorted(fams.items()):
-        if start.isdisjoint(fam):
+    met = {_inside(d, g.nodes[v]) for v in start}
+    for i in sorted(_class_floors(d, tg)):
+        if i not in met:
             raise DiagramError("covering set misses every cylinder of "
                                "component %d" % i)
     adj = g.out if direction == "forward" else g.reverse()
@@ -375,11 +565,12 @@ def pseudo_orbit(d, p, lookahead=2, graph=None):
     Only meaningful on chain transitive systems, so anything less than
     a Holds verdict at this resolution is rejected.
     """
-    g = graph if graph is not None else cylinder_graph(d, p.depth, lookahead)
-    verdict, _ = _analyze(g)
+    tg = graph if graph is not None else tower_graph(d, p.depth, lookahead)
+    verdict, _ = _decide(tg)
     if verdict != HOLDS:
         raise DiagramError("pseudo-orbits need chain transitivity at this "
                            "resolution, got %s" % verdict)
+    g = tg.expand() if isinstance(tg, TowerGraph) else tg
     src = _locate(g, p, "orbit base")
     parent = {}
     todo = deque()

@@ -91,14 +91,35 @@ def extreme_path(d, end, depth, kind):
 
 
 def enumerate_paths(d, end, depth):
-    """Yield the paths into ``end`` in ascending lex order."""
-    if depth == 1:
-        for rank in range(len(d.fiber(1, end))):
-            yield Path((end,), (rank,))
-        return
-    for rank, u in enumerate(d.fiber(depth, end)):
-        for p in enumerate_paths(d, u, depth - 1):
-            yield Path(p.verts + (end,), p.ranks + (rank,))
+    """Yield the paths into ``end`` in ascending lex order.
+
+    Runs like an odometer: start from the fiber-minimal path, then bump
+    the shallowest edge that is not fiber-maximal and refill every level
+    above it minimally.  No recursion, so any depth works.
+    """
+    if depth < 1:
+        raise DiagramError("level index %d out of range" % depth)
+    fibers = [d.level(lvl).fibers for lvl in range(1, depth + 1)]
+    verts = [None] * depth
+    ranks = [0] * depth
+    verts[depth - 1] = end
+
+    def refill(j):
+        # levels 1..j take the minimal edges below the edge chosen at j+1
+        for lvl in range(j, 0, -1):
+            verts[lvl - 1] = fibers[lvl][verts[lvl]][ranks[lvl]]
+            ranks[lvl - 1] = 0
+
+    refill(depth - 1)
+    while True:
+        yield Path(verts, ranks)
+        for j in range(depth):
+            if ranks[j] < len(fibers[j][verts[j]]) - 1:
+                break
+        else:
+            return
+        ranks[j] += 1
+        refill(j)
 
 
 def lex_compare(p, q):

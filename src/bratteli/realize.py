@@ -195,7 +195,9 @@ def euler_walk(g, start, end):
             if via is not None:
                 trail.append(via)
     trail.reverse()
-    assert len(trail) == len(g.edges)
+    if len(trail) != len(g.edges):
+        raise RuntimeError("Euler walk used %d of %d edges"
+                           % (len(trail), len(g.edges)))
     return trail
 
 
@@ -352,7 +354,9 @@ def _assemble_walk_fiber(d, n, w, arc_graph, lo, hi):
         tgt = mg.edges[idx][1]
         if tgt in pending:
             middle.extend(pending.pop(tgt))
-    assert not pending
+    if pending:
+        raise RuntimeError("walk never reached the anchors of %s"
+                           % ", ".join("Y%d" % i for i in sorted(pending)))
     return front + middle + back
 
 

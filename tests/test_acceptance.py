@@ -164,8 +164,8 @@ def test_c08_chain_transitivity(ex57, ex82, odometer, two_odometers,
     for name, d, _ in fuzz_corpus:
         verdict, witness = chain_transitive(d, 6)
         assert verdict == HOLDS, (name, witness)
-    # saturation sets must agree with the strong-connectivity verdict
-    # (the library cross-checks internally and raises on any mismatch)
+    # saturation sets must be full wherever the verdict Holds (the
+    # library cross-checks internally and raises otherwise)
     for d in (ex57, ex82, odometer, two_odometers):
         for depth in (1, 2, 3):
             sets = saturation_sets(d, depth)

@@ -3,7 +3,7 @@
 Everything runs in process through main(argv), so the suite stays fast
 and capsys sees exactly what a shell would.  Exit code contract:
 0 all Holds, 1 a Fails, 2 usage or parse trouble, 3 Unknown (1 under
---strict).
+--strict), 4 an internal error.
 """
 
 import json
@@ -110,6 +110,30 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command", "x"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["chain", "cover"])
+def test_negative_lookahead_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, _fx("odometer.json"), "--depth", "2",
+              "--lookahead", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--lookahead" in err and "at least 0" in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    import bratteli.cli as cli
+
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_towers", broken)
+    code, out, err = _run(capsys, "towers", _fx("odometer.json"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: KeyError: 'lost'\nTraceback")
 
 
 # -- Determinism -------------------------------------------------------------
@@ -266,6 +290,16 @@ def test_chain_report_holds(capsys):
     assert doc["chain_transitive"] == "Holds"
     assert doc["nodes"] == 8
     assert doc["saturation"] == {"Y1": 8}
+
+
+@pytest.mark.parametrize("name", ["odometer.json", "example-5-7.json"])
+def test_chain_report_at_depth_1500(capsys, name):
+    code, out, _ = _run(capsys, "chain", _fx(name), "--depth", "1500")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["chain_transitive"] == "Holds"
+    assert doc["nodes"] > 2 ** 1499
+    assert set(doc["saturation"].values()) == {doc["nodes"]}
 
 
 def test_chain_report_fails_with_cut(capsys):

@@ -110,6 +110,16 @@ def test_extreme_paths_bound_the_enumeration(ex57):
         assert extreme_path(ex57, v, 4, MAX) == paths[-1]
 
 
+@pytest.mark.parametrize("fixture,end", [("odometer", "v"), ("ex57", "v1")])
+def test_enumeration_runs_past_the_recursion_limit(request, fixture, end):
+    # one level per loop turn, no generator nested per level
+    d = request.getfixturevalue(fixture)
+    walk = enumerate_paths(d, end, 1500)
+    first, second = next(walk), next(walk)
+    assert first == extreme_path(d, end, 1500, MIN)
+    assert second.key() > first.key()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lex_compare_matches_key_order(ex57, data):
