@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from ._report import FAILS, HOLDS, UNKNOWN, DiagramError, worst
+from ._report import FAILS, HOLDS, DiagramError, ValidationReport, worst
 from .diagram import (DEFAULT_BUDGET, load_diagram, telescope,
                       validate_unordered)
 from .dynamics import (Diverges, chain_transitive, cover_steps,
@@ -163,18 +163,26 @@ def cmd_orbit(args):
     return 0
 
 
-def _graph_levels(d, args):
-    if args.level is not None:
-        return [args.level]
+def _first_level(d):
+    """The marker level, at least 2: the first level with index vectors.
+
+    On a stationary diagram it can lie past the presentation.
+    """
     L, verdict, wit = marker_level(d)
     if L is None:
         raise DiagramError("markers never resolve: %s" % (wit,))
-    return list(range(max(2, L), d.depth + 1))
+    return max(2, L)
+
+
+def _resolved_graphs(d):
+    return [transition_graph(d, n)
+            for n in range(_first_level(d), d.depth + 1)]
 
 
 def cmd_transition_graphs(args):
     d = load_diagram(args.diagram)
-    graphs = [transition_graph(d, n) for n in _graph_levels(d, args)]
+    graphs = ([transition_graph(d, args.level)] if args.level is not None
+              else _resolved_graphs(d))
     if args.format == "dot":
         _emit("\n".join(g.to_dot() for g in graphs), args)
     elif args.format == "text":
@@ -189,18 +197,10 @@ def cmd_transition_graphs(args):
     return 0
 
 
-def _index_level(d, args):
-    if args.level is not None:
-        return args.level
-    L, verdict, wit = marker_level(d)
-    if L is None:
-        raise DiagramError("markers never resolve: %s" % (wit,))
-    return max(2, L)
-
-
 def cmd_index(args):
     d = load_diagram(args.diagram)
-    s = index_elements(d, _index_level(d, args))
+    s = index_elements(d, args.level if args.level is not None
+                       else _first_level(d))
     if args.format == "text":
         lines = ["level %d" % s.level]
         for i, vec in enumerate(s.elements, start=1):
@@ -215,11 +215,9 @@ def cmd_index(args):
 
 def cmd_check_index(args):
     d = load_diagram(args.diagram)
-    n = _index_level(d, args)
+    n = args.level if args.level is not None else _first_level(d)
     s = index_elements(d, n)
-    L, verdict, wit = marker_level(d)
-    graphs = [transition_graph(d, m) for m in range(max(2, L), d.depth + 1)]
-    rep = check_index_relations(s, graphs)
+    rep = check_index_relations(s, _resolved_graphs(d))
     size, rank_rep = rational_rank_lower_bound(d, n)
     push_rep = index_pushforward(d)
     checks = rep.checks + rank_rep.checks + push_rep.checks
@@ -337,30 +335,27 @@ def cmd_kpush(args):
     except ValueError:
         raise DiagramError("--vec wants a comma list of integers")
     budget = _budget(args)
+    # pushing to its own level checks the level and the vector length
+    pushforward(d, (args.level, vec), args.level, ideal=args.ideal)
     doc = {"level": args.level, "vector": list(vec)}
-    checks = []
+    rep = ValidationReport()
     if args.to is not None:
         lvl, moved = pushforward(d, (args.level, vec), args.to,
                                  ideal=args.ideal)
         doc["pushforward"] = {"level": lvl, "vector": list(moved)}
     if args.zero:
-        v, w = class_is_zero(d, args.level, vec, ideal=args.ideal,
-                             depth_budget=budget)
-        checks.append({"property": "class_is_zero", "verdict": v,
-                       "witness": w})
+        rep.add("class_is_zero", *class_is_zero(
+            d, args.level, vec, ideal=args.ideal, depth_budget=budget))
     if args.positive:
-        v, w = is_positive(d, args.level, vec, ideal=args.ideal,
-                           depth_budget=budget)
-        checks.append({"property": "is_positive", "verdict": v,
-                       "witness": w})
+        rep.add("is_positive", *is_positive(
+            d, args.level, vec, ideal=args.ideal, depth_budget=budget))
     if args.bound is not None:
-        v, w = bounded_norm_membership(d, args.level, vec, args.bound,
-                                       ideal=args.ideal, depth_budget=budget)
-        checks.append({"property": "bounded_norm_membership", "verdict": v,
-                       "witness": w})
-    if checks:
-        doc["checks"] = checks
-        doc["overall"] = worst(c["verdict"] for c in checks)
+        rep.add("bounded_norm_membership", *bounded_norm_membership(
+            d, args.level, vec, args.bound, ideal=args.ideal,
+            depth_budget=budget))
+    if rep.checks:
+        doc["checks"] = [c.to_json() for c in rep.checks]
+        doc["overall"] = rep.overall()
     if args.format == "text":
         lines = ["(%s) at level %d" % (", ".join(str(x) for x in vec),
                                        args.level)]
@@ -368,17 +363,10 @@ def cmd_kpush(args):
             lines.append("-> level %d: (%s)"
                          % (args.to, ", ".join(str(x) for x in
                                                doc["pushforward"]["vector"])))
-        for c in checks:
-            lines.append("%-24s %s  %s" % (c["property"], c["verdict"],
-                                           json.dumps(c["witness"],
-                                                      sort_keys=True,
-                                                      default=str)))
-        _emit("\n".join(lines) + "\n", args)
+        _emit("\n".join(lines + _report_lines(rep)) + "\n", args)
     else:
         _emit(_dump(doc), args)
-    if checks:
-        return _exit_for(doc["overall"], args)
-    return 0
+    return _exit_for(rep.overall(), args)
 
 
 def _lookahead(text):

@@ -116,9 +116,8 @@ class Diagram:
         """Root-to-vertex path counts at level n (exact integers)."""
         vec = self.root_vector()
         for j in range(1, n):
-            mat = self.incidence(j)
-            vec = [sum(row[i] * vec[i] for i in range(len(vec))) for row in mat]
-        return vec
+            vec = _mat_vec(self.incidence(j), vec)
+        return list(vec)
 
     def to_json(self):
         levels = []
@@ -157,7 +156,8 @@ def parse_diagram(text):
     if not isinstance(doc, dict) or doc.get("kind") != "bratteli":
         raise DiagramError('top-level object must have "kind": "bratteli"')
     k = doc.get("k")
-    if not isinstance(k, int) or k < 1:
+    # bool is an int subclass, so integer fields compare types exactly
+    if type(k) is not int or k < 1:
         raise DiagramError('"k" must be a positive integer', "k")
     stationary = doc.get("stationary")
     if not isinstance(stationary, bool):
@@ -188,7 +188,7 @@ def parse_diagram(text):
             cls = rv.get("class")
             if cls == "other":
                 lab = OTHER
-            elif isinstance(cls, dict) and isinstance(cls.get("minimal"), int):
+            elif isinstance(cls, dict) and type(cls.get("minimal")) is int:
                 lab = cls["minimal"]
                 if not 1 <= lab <= k:
                     raise DiagramError(
@@ -257,7 +257,15 @@ def load_diagram(path):
         return parse_diagram(fh.read())
 
 
-# --- boolean / capped matrix helpers (exact semirings) ---
+# --- matrix helpers: integers, and the boolean / capped semirings ---
+
+def _mat_vec(mat, vec):
+    """The integer product mat @ vec, as a tuple."""
+    return tuple(sum(row[i] * vec[i] for i in range(len(vec))) for row in mat)
+
+def _rows_all_or_none(mat):
+    """Each row is all nonzero or all zero."""
+    return all(all(row) or not any(row) for row in mat)
 
 def _sub_block(mat, rows, cols):
     return [[mat[r][c] for c in cols] for r in rows]
@@ -439,9 +447,6 @@ def validate_unordered(d, depth_budget=DEFAULT_BUDGET):
     _k_simple_check(d, depth_budget, rep)
 
     # strong variant: deep V_o vertices see all of V_o or none of it
-    def rows_all_or_none(mat):
-        return all(all(row) or not any(row) for row in mat)
-
     strong = rep.verdict("k_simple")
     strong_witness = None
     if strong == HOLDS:
@@ -452,7 +457,7 @@ def validate_unordered(d, depth_budget=DEFAULT_BUDGET):
             verdict, m = _search_products(
                 d, n, lambda dd, j: _other_indices(dd, j),
                 lambda dd, j: _other_indices(dd, j),
-                _bool_mul, _bool, rows_all_or_none, depth_budget)
+                _bool_mul, _bool, _rows_all_or_none, depth_budget)
             if verdict != HOLDS:
                 strong = worst([strong, verdict])
                 strong_witness = {"level": n, "stalled_at": m}
@@ -580,10 +585,6 @@ def ideal_subdiagram(d):
 
 def _strong_witness_chain(d, depth_budget):
     """Levels 1 = a_0 < a_1 < ... where V_o connectivity is all-or-none."""
-
-    def rows_all_or_none(mat):
-        return all(all(row) or not any(row) for row in mat)
-
     chain = [1]
     # stationary: the witness gap repeats; otherwise walk the presentation
     while True:
@@ -602,7 +603,7 @@ def _strong_witness_chain(d, depth_budget):
         verdict, m = _search_products(
             d, n, lambda dd, j: _other_indices(dd, j),
             lambda dd, j: _other_indices(dd, j),
-            _bool_mul, _bool, rows_all_or_none, depth_budget)
+            _bool_mul, _bool, _rows_all_or_none, depth_budget)
         if verdict != HOLDS:
             break
         chain.append(m)

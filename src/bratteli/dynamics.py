@@ -21,9 +21,9 @@ verdicts that would rely on them degrade to Unknown.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
+from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
 from .order import MAX, MIN, enumerate_paths, extreme_chains, extreme_path
@@ -50,14 +50,6 @@ def path_text(p):
         bits.append("%d:%s->%s#%d" % (lvl, src, v, r + 1))
         src = v
     return "|".join(bits)
-
-
-def _reverse(out):
-    rev = [[] for _ in out]
-    for v, outs in enumerate(out):
-        for w in outs:
-            rev[w].append(v)
-    return [tuple(r) for r in rev]
 
 
 class TowerGraph:
@@ -155,7 +147,7 @@ class CylinderGraph:
 
     def reverse(self):
         """In-edge lists, aligned with the node indexing."""
-        return _reverse(self.out)
+        return reverse(self.out)
 
     def to_dot(self):
         lines = ["digraph cylinders {", "  rankdir=LR;"]
@@ -216,59 +208,6 @@ def cylinder_graph(d, depth, lookahead=2, chains=None):
     return tower_graph(d, depth, lookahead, chains).expand()
 
 
-def _reach(adj, starts):
-    seen = set(starts)
-    todo = deque(starts)
-    while todo:
-        v = todo.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
-
-
-def _sccs(adj):
-    # iterative Kosaraju; components come out in reverse topological
-    # order, so sinks of the condensation are found near the front
-    n = len(adj)
-    order = []
-    seen = [False] * n
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack = [(s, 0)]
-        seen[s] = True
-        while stack:
-            v, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, i + 1))
-                w = adj[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-    rev = _reverse(adj)
-    comp = [None] * n
-    comps = []
-    for s in reversed(order):
-        if comp[s] is not None:
-            continue
-        cur = [s]
-        comp[s] = len(comps)
-        members = []
-        while cur:
-            v = cur.pop()
-            members.append(v)
-            for w in rev[v]:
-                if comp[w] is None:
-                    comp[w] = len(comps)
-                    cur.append(w)
-        comps.append(members)
-    return comps, comp
-
-
 def _decide(g):
     """Verdict of a tower or cylinder graph, and for a Fails the closed
     cut as (its towers in listing order, whether it is only the top
@@ -281,7 +220,7 @@ def _decide(g):
     """
     n = g.size
     heights = g.heights
-    comps, comp = _sccs(g.out)
+    comps, comp = sccs(g.out)
     terminal = [True] * len(comps)
     for v, outs in enumerate(g.out):
         for w in outs:
@@ -306,19 +245,6 @@ def _decide(g):
         verdict = UNKNOWN
     else:
         verdict = HOLDS
-    if not g.flagged:
-        # second opinion through plain reachability: every floor reaches
-        # every other exactly when each top steps somewhere and the
-        # towers are strongly connected
-        m = len(g.out)
-        alt = (HOLDS if n == 1 or (all(g.out)
-                                    and len(_reach(g.out, (0,))) == m
-                                    and len(_reach(_reverse(g.out),
-                                                   (0,))) == m)
-               else FAILS)
-        if alt != verdict:
-            raise AssertionError("connectivity checks disagree at depth %d"
-                                 % g.depth)
     return verdict, cut
 
 
@@ -373,22 +299,9 @@ def epsilon_chain(d, p, q, lookahead=2, graph=None):
     g = graph if graph is not None else cylinder_graph(d, p.depth, lookahead)
     src = _locate(g, p, "chain source")
     dst = _locate(g, q, "chain target")
-    if src == dst:
-        return [p]
-    parent = {src: None}
-    todo = deque((src,))
-    while todo:
-        v = todo.popleft()
-        for w in g.out[v]:
-            if w in parent:
-                continue
-            parent[w] = v
-            if w == dst:
-                chain = [w]
-                while parent[chain[-1]] is not None:
-                    chain.append(parent[chain[-1]])
-                return [g.nodes[v] for v in reversed(chain)]
-            todo.append(w)
+    chain = shortest_path(g.out, (src,), dst)
+    if chain is not None:
+        return [g.nodes[v] for v in chain]
     extra = ("" if not g.flagged
              else " (%d cylinders unresolved at lookahead %d)"
              % (len(g.flagged), g.lookahead))
@@ -465,20 +378,16 @@ def _saturation(d, g):
     reaches; a top reaches every floor of the towers its step leads to.
     So a tower counts whole when some tower its top steps to reaches a
     tower with a floor inside V_i, and otherwise up to its own highest
-    such floor.  Chain transitivity makes every count full, which is
-    cross-checked.  The converse fails: a closed cut holding cylinders of
-    every class leaves the counts full under a Fails.
+    such floor.  Chain transitivity makes every count full; the converse
+    fails, since a closed cut holding cylinders of every class leaves the
+    counts full under a Fails.
     """
-    rev = _reverse(g.out)
+    rev = reverse(g.out)
     sat = {}
     for i, top in _class_floors(d, g).items():
-        reach = _reach(rev, [t for t, f in enumerate(top) if f >= 0])
-        sat[i] = [h if any(u in reach for u in outs) else f + 1
+        hit = reach(rev, [t for t, f in enumerate(top) if f >= 0])
+        sat[i] = [h if any(u in hit for u in outs) else f + 1
                   for h, outs, f in zip(g.heights, g.out, top)]
-    verdict, _ = _decide(g)
-    if verdict == HOLDS and any(sum(c) != g.size for c in sat.values()):
-        raise AssertionError("saturation sets disagree with chain "
-                             "transitivity at depth %d" % g.depth)
     return sat
 
 
@@ -572,21 +481,7 @@ def pseudo_orbit(d, p, lookahead=2, graph=None):
                            "resolution, got %s" % verdict)
     g = tg.expand() if isinstance(tg, TowerGraph) else tg
     src = _locate(g, p, "orbit base")
-    parent = {}
-    todo = deque()
-    for w in g.out[src]:
-        if w not in parent:
-            parent[w] = None
-            todo.append(w)
-    while todo:
-        v = todo.popleft()
-        if v == src:
-            chain = [v]
-            while parent[chain[-1]] is not None:
-                chain.append(parent[chain[-1]])
-            return [p] + [g.nodes[u] for u in reversed(chain)]
-        for w in g.out[v]:
-            if w not in parent:
-                parent[w] = v
-                todo.append(w)
+    chain = shortest_path(g.out, g.out[src], src)
+    if chain is not None:
+        return [p] + [g.nodes[v] for v in chain]
     raise DiagramError("no closed chain through %s" % path_text(p))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError, ValidationReport
-from .diagram import DEFAULT_BUDGET
+from .diagram import DEFAULT_BUDGET, _mat_vec
 from .transgraph import dvector_matrix, other_block
 
 # hard ceiling on orbit walks; box arguments terminate well before this
@@ -38,14 +38,10 @@ def _check_vec(d, n, vec, ideal):
     return tuple(int(x) for x in vec)
 
 
-def _apply(mat, vec):
-    return tuple(sum(row[i] * vec[i] for i in range(len(vec))) for row in mat)
-
-
 def push_once(d, n, vec, ideal=False):
     """Transport a level-n vector to level n+1."""
     vec = _check_vec(d, n, vec, ideal)
-    return _apply(_block(d, n, ideal), vec)
+    return _mat_vec(_block(d, n, ideal), vec)
 
 
 def pushforward(d, x, to_level, ideal=False):
@@ -56,7 +52,7 @@ def pushforward(d, x, to_level, ideal=False):
                            % (n, to_level))
     vec = _check_vec(d, n, vec, ideal)
     while n < to_level:
-        vec = _apply(_block(d, n, ideal), vec)
+        vec = _mat_vec(_block(d, n, ideal), vec)
         n += 1
     return (n, vec)
 
@@ -67,7 +63,7 @@ def pushforwards(d, n, vec, steps, ideal=False):
     for j in range(steps):
         if not d.has_level(n + j + 1):
             break
-        out.append(_apply(_block(d, n + j, ideal), out[-1]))
+        out.append(_mat_vec(_block(d, n + j, ideal), out[-1]))
     return out
 
 
@@ -78,7 +74,7 @@ def order_unit(d, n):
 
 def _to_depth(d, n, vec, ideal):
     while n < d.depth:
-        vec = _apply(_block(d, n, ideal), vec)
+        vec = _mat_vec(_block(d, n, ideal), vec)
         n += 1
     return n, vec
 
@@ -87,7 +83,7 @@ def _tail_kill(d, vec, ideal):
     """B^dim image in the stationary tail; zero iff the class is zero."""
     b = _block(d, d.depth, ideal)
     for _ in range(max(len(vec), 1)):
-        vec = _apply(b, vec)
+        vec = _mat_vec(b, vec)
     return vec
 
 
@@ -104,7 +100,7 @@ def class_is_zero(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
     for j in range(depth_budget):
         if not d.has_level(lvl + 1):
             break
-        cur = _apply(_block(d, lvl, ideal), cur)
+        cur = _mat_vec(_block(d, lvl, ideal), cur)
         lvl += 1
         if not any(cur):
             return HOLDS, {"vanishes_by": lvl}
@@ -118,10 +114,10 @@ def eq(d, x, y, ideal=False, depth_budget=DEFAULT_BUDGET):
     vb = _check_vec(d, nb, vb, ideal)
     top = max(na, nb)
     while na < top:
-        va = _apply(_block(d, na, ideal), va)
+        va = _mat_vec(_block(d, na, ideal), va)
         na += 1
     while nb < top:
-        vb = _apply(_block(d, nb, ideal), vb)
+        vb = _mat_vec(_block(d, nb, ideal), vb)
         nb += 1
     diff = tuple(a - b for a, b in zip(va, vb))
     return class_is_zero(d, top, diff, ideal, depth_budget)
@@ -145,7 +141,7 @@ def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
         for j in range(depth_budget):
             if not d.has_level(lvl + 1):
                 break
-            cur = _apply(_block(d, lvl, ideal), cur)
+            cur = _mat_vec(_block(d, lvl, ideal), cur)
             lvl += 1
             if all(e >= 0 for e in cur):
                 return HOLDS, {"non_negative_by": lvl}
@@ -161,39 +157,18 @@ def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
             return FAILS, {"orbit_cycles_without_member": True,
                            "cycle_entry": seen[orbit]}
         seen[orbit] = step
-        orbit = _apply(b, orbit)
+        orbit = _mat_vec(b, orbit)
     if any(_tail_kill(d, cur, ideal)):
         mirror = tuple(-e for e in cur)
         for step in range(min(cap, _CYCLE_CAP)):
             if all(e >= 0 for e in mirror):
                 return FAILS, {"negated_class_positive_after": step}
-            mirror = _apply(b, mirror)
+            mirror = _mat_vec(b, mirror)
     return UNKNOWN, {"orbit_checked": cap}
 
 
 def _sup(vec):
     return max((abs(e) for e in vec), default=0)
-
-
-def _det(mat):
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
-    return det
 
 
 def bounded_norm_membership(d, n, vec, bound, ideal=True,
@@ -218,14 +193,14 @@ def bounded_norm_membership(d, n, vec, bound, ideal=True,
         for j in range(depth_budget):
             if not d.has_level(lvl + 1):
                 break
-            cur = _apply(_block(d, lvl, ideal), cur)
+            cur = _mat_vec(_block(d, lvl, ideal), cur)
             lvl += 1
             levels.append(lvl)
             if _sup(cur) > bound:
                 return UNKNOWN, {"exceeds_at": lvl}
         return HOLDS, {"exhibited_through": levels[-1]}
     b = _block(d, d.depth, ideal)
-    invertible = _det(b) != 0
+    invertible = _rank(b) == len(b)
     seen = {}
     step = 0
     while step < _CYCLE_CAP:
@@ -237,7 +212,7 @@ def bounded_norm_membership(d, n, vec, bound, ideal=True,
             return HOLDS, {"cycle_entry": seen[cur], "cycle_length":
                            step - seen[cur]}
         seen[cur] = step
-        cur = _apply(b, cur)
+        cur = _mat_vec(b, cur)
         step += 1
     return UNKNOWN, {"no_cycle_within": _CYCLE_CAP}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._report import (FAILS, HOLDS, UNKNOWN, DiagramError,
                       ValidationReport, worst)
-from .diagram import (DEFAULT_BUDGET, OTHER, _k_simple_check,
+from .diagram import (DEFAULT_BUDGET, OTHER, _k_simple_check, _mat_vec,
                       promote_stationary, telescope)
 
 MIN = "min"
@@ -595,13 +595,11 @@ def shorten_telescope(d, depth_budget=DEFAULT_BUDGET, min_fiber=False):
         if a == 0:
             vec = d.path_counts(c)
             return all(x >= 2 for x in vec)
-        mat = [[1 if u == w else 0 for u in d.vertices(a)]
-               for w in d.vertices(a)]
+        # row sums of the composite incidence: push the all-ones vector
+        vec = (1,) * len(d.vertices(a))
         for m in range(a, c):
-            f = d.incidence(m)
-            mat = [[sum(f[r][t] * mat[t][col] for t in range(len(mat)))
-                    for col in range(len(mat[0]))] for r in range(len(f))]
-        return all(sum(row) >= 2 for row in mat)
+            vec = _mat_vec(d.incidence(m), vec)
+        return all(x >= 2 for x in vec)
 
     dim = len(d.vertices(d.depth))
     gap_cap = max(depth_budget, dim + 2)

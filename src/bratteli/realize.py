@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from collections import deque
 
+from ._graph import reach, undirected
 from ._report import FAILS, HOLDS, DiagramError, ValidationReport
 from .diagram import Diagram, Level, OTHER
-from .transgraph import TransitionGraph
+from .transgraph import TransitionGraph, _unreached
 
 
 class DVectors:
@@ -89,8 +90,9 @@ def parse_dvectors(doc):
         parsed = {}
         for v, vec in values.items():
             vloc = "%s.values[%r]" % (loc, v)
+            # bool is an int subclass; true is not an entry
             if (not isinstance(vec, list)
-                    or any(not isinstance(x, int) for x in vec)):
+                    or any(type(x) is not int for x in vec)):
                 raise DiagramError("vector must be an integer array", vloc)
             if any(x not in (-1, 0, 1) for x in vec):
                 raise DiagramError("vector entry outside {-1, 0, 1}", vloc)
@@ -163,19 +165,7 @@ def euler_walk(g, start, end):
                           % (g.deg(i), i, want.get(i, 0)))
 
     nodes = set(g.touched()) | {start, end}
-    nbr = {i: set() for i in nodes}
-    for s, t in g.edges:
-        nbr[s].add(t)
-        nbr[t].add(s)
-    seen = {start}
-    frontier = deque(seen)
-    while frontier:
-        cur = frontier.popleft()
-        for other in nbr[cur]:
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    if seen != nodes:
+    if reach(undirected(nodes, g.edges), (start,)) != nodes:
         return NoWalk("disconnected")
 
     # Hierholzer: depth-first arc consumption, lowest arc index first;
@@ -256,24 +246,6 @@ def graphs_from_dvectors(d, dv):
                 edges.append((v, i, i))
         graphs.append(TransitionGraph(d.k, n, edges))
     return graphs
-
-
-def _connected_symbols(g):
-    """Symbols unreachable from Y1 along undirected non-loop edges."""
-    nbr = {i: set() for i in range(1, g.k + 1)}
-    for _, s, t in g.edges:
-        if s != t:
-            nbr[s].add(t)
-            nbr[t].add(s)
-    seen = {1}
-    frontier = deque(seen)
-    while frontier:
-        cur = frontier.popleft()
-        for other in nbr[cur]:
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    return sorted(set(range(1, g.k + 1)) - seen)
 
 
 def _edge_map(g):
@@ -439,7 +411,7 @@ def synthesize_order(d, dv):
             raise DiagramError("prescription must cover levels 2..%d, "
                                "level %d is missing" % (d.depth, n))
     for g in graphs:
-        cut = _connected_symbols(g)
+        cut = _unreached(g)
         if cut:
             raise DiagramError(
                 "level-%d vectors admit a non-constant vanishing "

@@ -11,8 +11,7 @@ one it enters.
 
 from __future__ import annotations
 
-from collections import deque
-
+from ._graph import reach, sccs, undirected
 from ._report import FAILS, HOLDS, DiagramError, ValidationReport
 from .diagram import OTHER
 from .order import MAX, MIN, MarkerTable, marker_level
@@ -83,6 +82,14 @@ def dvector_matrix(d, n, mt=None):
     return [list(vecs[v]) for v in d.others(n)]
 
 
+def _unreached(tg):
+    """Symbols not joined to Y1 by edges taken either way, sorted."""
+    symbols = range(1, tg.k + 1)
+    seen = reach(undirected(symbols, [(s, t) for _, s, t in tg.edges]),
+                 symbols[:1])
+    return sorted(set(symbols) - seen)
+
+
 def check_structure(tg, non_elementary):
     """Sanity checks a transition graph from a well-formed diagram passes.
 
@@ -94,23 +101,11 @@ def check_structure(tg, non_elementary):
     rep = ValidationReport()
     k = tg.k
 
-    seen = {1} if k else set()
-    frontier = deque(seen)
-    nbr = {i: set() for i in range(1, k + 1)}
-    for _, s, t in tg.edges:
-        nbr[s].add(t)
-        nbr[t].add(s)
-    while frontier:
-        cur = frontier.popleft()
-        for other in nbr[cur]:
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    if len(seen) == k:
-        rep.add("connected", HOLDS, {"symbols": k})
+    unreached = _unreached(tg)
+    if unreached:
+        rep.add("connected", FAILS, {"unreached": unreached})
     else:
-        rep.add("connected", FAILS,
-                {"unreached": sorted(set(range(1, k + 1)) - seen)})
+        rep.add("connected", HOLDS, {"symbols": k})
 
     if not non_elementary:
         return rep
@@ -119,46 +114,15 @@ def check_structure(tg, non_elementary):
     else:
         rep.add("edge_count", FAILS, {"edges": len(tg.edges), "k": k})
 
-    # closed-walk membership via strongly connected components
-    order = []
-    visited = set()
-    adj = {i: [] for i in range(1, k + 1)}
-    radj = {i: [] for i in range(1, k + 1)}
+    # closed-walk membership via strongly connected components; node 0
+    # stands for no symbol and stays isolated
+    adj = [[] for _ in range(k + 1)]
     for _, s, t in tg.edges:
         adj[s].append(t)
-        radj[t].append(s)
-    for root in range(1, k + 1):
-        if root in visited:
-            continue
-        stack = [(root, iter(adj[root]))]
-        visited.add(root)
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt not in visited:
-                    visited.add(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-            else:
-                order.append(node)
-                stack.pop()
-    comp = {}
-    for root in reversed(order):
-        if root in comp:
-            continue
-        stack = [root]
-        comp[root] = root
-        while stack:
-            node = stack.pop()
-            for nxt in radj[node]:
-                if nxt not in comp:
-                    comp[nxt] = root
-                    stack.append(nxt)
-    stranded = []
+    _, comp = sccs(adj)
     cyclic = {comp[s] for _, s, t in tg.edges if comp[s] == comp[t]}
-    for i in range(1, k + 1):
-        if tg.out_degree(i) > 0 and comp[i] not in cyclic:
-            stranded.append(i)
+    stranded = [i for i in range(1, k + 1)
+                if tg.out_degree(i) > 0 and comp[i] not in cyclic]
     if stranded:
         rep.add("sourced_on_closed_walks", FAILS, {"stranded": stranded})
     else:

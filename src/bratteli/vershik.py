@@ -235,8 +235,12 @@ def _step_image(d, p, lookahead, chains, direction):
                 return i
         return 0
 
-    def explore(m, u):
-        nonlocal unresolved
+    # walks along stuck continuations, one (level, vertex) per entry; a
+    # visit only adds targets or sets the flag, so each is made once
+    todo = [(n, p.end)]
+    seen = set(todo)
+    while todo:
+        m, u = todo.pop()
         if m == n + lookahead:
             i = on_trunk(m, u)
             if i:
@@ -245,24 +249,19 @@ def _step_image(d, p, lookahead, chains, direction):
                     unresolved = True
                 else:
                     targets.add(extreme_path(d, z, n, kind))
-                return
-            if i is None:
+            elif i is None or not d.has_level(m + 1):
                 unresolved = True
-                return
-            # off the trunk: allow one extra level for the walk to break
-            if not d.has_level(m + 1):
+            elif collect_breaks(m, u):
+                # off the trunk: one extra level for the walk to break
                 unresolved = True
-                return
-            if collect_breaks(m, u):
-                unresolved = True
-            return
+            continue
         if not d.has_level(m + 1):
             unresolved = True
-            return
+            continue
         for t in collect_breaks(m, u):
-            explore(m + 1, t)
-
-    explore(n, p.end)
+            if (m + 1, t) not in seen:
+                seen.add((m + 1, t))
+                todo.append((m + 1, t))
     return StepImage(targets, unresolved)
 
 

@@ -164,14 +164,18 @@ def test_c08_chain_transitivity(ex57, ex82, odometer, two_odometers,
     for name, d, _ in fuzz_corpus:
         verdict, witness = chain_transitive(d, 6)
         assert verdict == HOLDS, (name, witness)
-    # saturation sets must be full wherever the verdict Holds (the
-    # library cross-checks internally and raises otherwise)
+    # saturation sets must be full wherever the verdict Holds
     for d in (ex57, ex82, odometer, two_odometers):
         for depth in (1, 2, 3):
             sets = saturation_sets(d, depth)
             assert set(sets) == set(range(1, d.k + 1))
+            if chain_transitive(d, depth)[0] == HOLDS:
+                nodes = sum(d.path_counts(depth))
+                assert {len(s) for s in sets.values()} == {nodes}
     for name, d, _ in fuzz_corpus[::5]:
-        saturation_sets(d, 3)
+        nodes = sum(d.path_counts(3))
+        sets = saturation_sets(d, 3)
+        assert {len(s) for s in sets.values()} == {nodes}, name
 
 
 def test_c09_corpus_transition_structure(fuzz_corpus):

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from conftest import fixture_path
-from bratteli import parse_diagram
+from bratteli import DiagramError, parse_diagram, parse_dvectors
 from bratteli.cli import main
 
 
@@ -102,6 +102,53 @@ def test_structural_defect_exits_two(capsys, tmp_path):
     assert code == 2
     assert "positive integer" in err
 
+
+
+def _with_bool(doc, path):
+    """A deep copy of doc with the value at path replaced by true."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    cur = doc
+    for key in head:
+        cur = cur[key]
+    cur[last] = True
+    return doc
+
+
+def _rejected(capsys, tmp_path, command, doc, *argv):
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, command, str(f), *argv)
+    assert code == 2 and err.startswith("error:"), (code, err)
+    return err
+
+
+# bool is an int subclass in Python, but JSON true is not an integer
+def test_bool_k_is_rejected(capsys, tmp_path):
+    doc = _with_bool(_UNKNOWN_DOC, ["k"])
+    with pytest.raises(DiagramError, match='"k"'):
+        parse_diagram(json.dumps(doc))
+    _rejected(capsys, tmp_path, "validate", doc)
+
+
+def test_bool_minimal_class_is_rejected(capsys, tmp_path):
+    doc = _with_bool(_UNKNOWN_DOC,
+                     ["levels", 0, "vertices", 0, "class", "minimal"])
+    with pytest.raises(DiagramError, match="vertex class"):
+        parse_diagram(json.dumps(doc))
+    _rejected(capsys, tmp_path, "validate", doc)
+
+
+def test_bool_dvector_entry_is_rejected(capsys, tmp_path):
+    with open(_fx("example-5-7.d.json")) as fh:
+        dv = _with_bool(json.load(fh), ["d", 0, "values", "v1", 1])
+    with pytest.raises(DiagramError, match="integer array"):
+        parse_dvectors(dv)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(dv))
+    code, _, err = _run(capsys, "synthesize",
+                        _fx("example-5-7-unordered.json"), "--d", str(f))
+    assert code == 2 and "integer array" in err
 
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -265,6 +312,28 @@ def test_check_index_flags_thin_remainder(capsys):
     assert doc["overall"] == "Fails"
 
 
+
+def test_check_index_level_with_unresolved_markers(capsys, tmp_path):
+    # the level-2 component vertex a has an edge from o, so the minimal
+    # chain of o at level 3 leaves the components: the markers resolve
+    # at level 2 but never for the whole diagram
+    lev = {"vertices": [{"id": "a", "class": {"minimal": 1}},
+                        {"id": "b", "class": {"minimal": 2}},
+                        {"id": "o", "class": "other"}]}
+    edges = [[("root", "a"), ("root", "b"), ("root", "o")],
+             [("o", "a"), ("a", "a"), ("b", "b"), ("a", "o"), ("b", "o")],
+             [("a", "a"), ("b", "b"), ("a", "o"), ("o", "o"), ("b", "o")]]
+    doc = {"kind": "bratteli", "k": 2, "stationary": False,
+           "levels": [dict(lev, edges=[{"source": s, "range": r}
+                                       for s, r in es]) for es in edges]}
+    f = tmp_path / "unresolved.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "index", str(f), "--level", "2")
+    assert code == 0 and json.loads(out)["level"] == 2
+    code, out, err = _run(capsys, "check-index", str(f), "--level", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: markers never resolve")
+
 # -- Synthesis round trip ----------------------------------------------------
 
 def test_synthesize_matches_the_ordered_fixture(capsys, tmp_path):
@@ -301,6 +370,14 @@ def test_chain_report_at_depth_1500(capsys, name):
     assert doc["nodes"] > 2 ** 1499
     assert set(doc["saturation"].values()) == {doc["nodes"]}
 
+
+
+def test_chain_report_at_lookahead_1200(capsys):
+    # the step image walks 1200 levels ahead without recursing
+    code, out, err = _run(capsys, "chain", _fx("odometer.json"), "--depth",
+                          "1", "--lookahead", "1200", "--format", "text")
+    assert code == 0 and err == ""
+    assert out == "chain_transitive Holds nodes=2\nE1 covers 2/2\n"
 
 def test_chain_report_fails_with_cut(capsys):
     code, out, _ = _run(capsys, "chain", _fx("two-odometers.json"),
@@ -411,6 +488,14 @@ def test_kpush_vector_length_checked(capsys):
     assert code == 2
     assert "error:" in err
 
+
+
+@pytest.mark.parametrize("level,vec", [("0", "1"), ("1", "1,2,3,4,5,6,7")])
+def test_kpush_validates_without_check_flags(capsys, level, vec):
+    code, out, err = _run(capsys, "kpush", _fx("example-5-7.json"),
+                          "--level", level, "--vec", vec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 def test_budget_env_is_read_and_validated(capsys, monkeypatch):
     monkeypatch.setenv("BDK_BUDGET", "junk")

@@ -12,6 +12,7 @@ Core claims:
 """
 
 import json
+import random
 
 import pytest
 
@@ -276,3 +277,27 @@ def test_rank_lower_bound_needs_room(five_vertex):
     assert size == 2
     assert rep.verdict("V_o_size") == FAILS
     assert rep.verdict("rank_bound") == FAILS
+
+
+def test_rank_matches_sympy():
+    # the one exact elimination: rank, and for square blocks the
+    # invertibility test bounded_norm_membership reads off it
+    sympy = pytest.importorskip("sympy")
+    from bratteli.ktheory import _rank
+    rng = random.Random("rank")
+    singular = 0
+    for _ in range(400):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.4:
+            # a multiple of another row, zero included
+            a, b = rng.sample(range(rows), 2)
+            f = rng.randint(-2, 2)
+            mat[b] = [f * x for x in mat[a]]
+        want = sympy.Matrix(mat).rank()
+        assert _rank(mat) == want
+        if rows == cols:
+            invertible = sympy.Matrix(mat).det() != 0
+            assert (_rank(mat) == rows) == invertible
+            singular += not invertible
+    assert singular > 20

@@ -10,7 +10,9 @@ Core claims:
       small random diagrams at any lookahead
     - on arbitrary weighted tower graphs, including shapes tower_graph
       never builds, the analysis agrees with the node-level analysis of
-      the expansion
+      the expansion, and without flags it says Holds exactly when every
+      top steps and the towers are strongly connected
+    - a Holds leaves every saturation size equal to the node count
 """
 
 import json
@@ -18,12 +20,12 @@ import random
 
 import pytest
 
-from bratteli import (CylinderGraph, DiagramError, TowerGraph,
+from bratteli import (HOLDS, CylinderGraph, DiagramError, TowerGraph,
                       chain_transitive, cylinder_graph, enumerate_paths,
                       parse_diagram, saturation_sets, saturation_sizes,
                       tower_graph)
-from cylinder_oracle import (node_graph, node_saturation, node_verdict,
-                             recursive_paths)
+from cylinder_oracle import (_reach, node_graph, node_saturation,
+                             node_verdict, recursive_paths)
 
 FIXTURES = ["ex57", "ex57_unordered", "ex82", "five_vertex", "odometer",
             "two_odometers"]
@@ -60,10 +62,13 @@ def _check_against_oracle(d, depth, lookahead=2):
         _same_error(lambda: saturation_sizes(d, depth, graph=tg), exc)
         _same_error(lambda: saturation_sets(d, depth, graph=g), exc)
         return "no cylinder"
-    assert saturation_sizes(d, depth, graph=tg) == {
-        i: len(s) for i, s in sets.items()}
+    sizes = saturation_sizes(d, depth, graph=tg)
+    assert sizes == {i: len(s) for i, s in sets.items()}
     assert saturation_sets(d, depth, graph=tg) == sets
     assert saturation_sets(d, depth, graph=g) == sets
+    if want[0] == HOLDS:
+        # chain transitivity lets every cylinder chain into every class
+        assert set(sizes.values()) == {tg.size}
     return want[0]
 
 
@@ -126,6 +131,15 @@ def test_random_diagrams_match_oracle():
                     "cylinder"}, seen
 
 
+def _strongly_connected(out):
+    """Every top steps somewhere and every tower reaches every other, by
+    plain reachability from tower 0 both ways."""
+    m = len(out)
+    back = [[v for v in range(m) if t in out[v]] for t in range(m)]
+    return (all(out) and len(_reach(out, (0,))) == m
+            and len(_reach(back, (0,))) == m)
+
+
 @pytest.mark.parametrize("fixture,depth", [("ex57", 2), ("five_vertex", 2),
                                            ("ex82", 2)])
 def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
@@ -145,10 +159,14 @@ def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
         seen.add(want[0])
         assert chain_transitive(d, depth, graph=tg) == want
         assert chain_transitive(d, depth, graph=g) == want
+        if not flagged:
+            assert (want[0] == HOLDS) == _strongly_connected(out), out
         sets = node_saturation(d, g)
-        assert saturation_sizes(d, depth, graph=tg) == {
-            i: len(s) for i, s in sets.items()}
+        sizes = saturation_sizes(d, depth, graph=tg)
+        assert sizes == {i: len(s) for i, s in sets.items()}
         assert saturation_sets(d, depth, graph=tg) == sets
+        if want[0] == HOLDS:
+            assert set(sizes.values()) == {tg.size}
     assert seen == {"Holds", "Fails", "Unknown"}
 
 
