@@ -29,8 +29,8 @@ from .dynamics import (Diverges, chain_transitive, cover_steps,
 from .ktheory import (bounded_norm_membership, check_index_relations,
                       class_is_zero, index_elements, is_positive, pushforward,
                       rational_rank_lower_bound)
-from .order import (MIN, extreme_chains, extreme_path, make_path,
-                    marker_level, validate_ordered)
+from .order import (MIN, _chains, extreme_path, make_path, marker_level,
+                    validate_ordered)
 from .realize import load_dvectors, synthesize_order
 from .transgraph import index_pushforward, transition_graph
 from .vershik import Maximal, orbit, towers
@@ -293,7 +293,7 @@ def _cover_set(d, args):
                 or not all(isinstance(e, str) for e in entries)):
             raise DiagramError("--set wants a JSON array of path strings")
         return [_parse_path(d, e) for e in entries]
-    chains = extreme_chains(d, MIN)
+    chains = _chains(d, MIN)
     cyls = []
     for i in range(1, d.k + 1):
         z = chains.vertex(i, args.depth)

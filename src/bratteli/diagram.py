@@ -44,10 +44,15 @@ class Level:
 
 
 class Diagram:
+    """Never changed after construction, so what the ordered machinery
+    derives from it (marker table, extreme chains) is kept in ``_memo``,
+    filled on first use by the accessors in ``order``."""
+
     def __init__(self, levels, k, stationary):
-        self.levels = list(levels)
+        self.levels = tuple(levels)
         self.k = k
         self.stationary = stationary
+        self._memo = {}
         if not self.levels:
             raise DiagramError("diagram needs at least one level")
         if stationary and len(self.levels) < 2:
@@ -55,8 +60,9 @@ class Diagram:
         if stationary:
             a, b = self.levels[-2], self.levels[-1]
             if a.ids != b.ids or a.labels != b.labels:
-                raise DiagramError(
-                    "stationary block is not square: last two levels differ")
+                raise DiagramError("non-square stationary block: last two "
+                                   "vertex lists differ",
+                                   "levels[%d]" % (len(self.levels) - 1))
 
     @property
     def depth(self):
@@ -235,21 +241,15 @@ def parse_diagram(text):
                 raise DiagramError(
                     "vertex %r at level %d has no outgoing edge" % (v, li + 1),
                     "levels[%d]" % li)
+    d = Diagram(levels, k, stationary)
     if stationary:
-        if len(levels) < 2:
-            raise DiagramError("stationary presentation needs two explicit levels")
-        a, b = levels[-2], levels[-1]
-        if a.ids != b.ids or a.labels != b.labels:
-            raise DiagramError(
-                "non-square stationary block: last two vertex lists differ",
-                "levels[%d]" % (len(levels) - 1))
-        sources = {s for (s, _) in b.edges}
-        for v in b.ids:
+        sources = {s for (s, _) in levels[-1].edges}
+        for v in levels[-1].ids:
             if v not in sources:
                 raise DiagramError(
                     "vertex %r starves in the repeated block" % v,
                     "levels[%d]" % (len(levels) - 1))
-    return Diagram(levels, k, stationary)
+    return d
 
 
 def load_diagram(path):
@@ -514,12 +514,11 @@ def telescope(d, levels):
         raise DiagramError("level %d beyond presentation" % last)
 
     def comp_sources(a, b, v):
-        # ordered sources at level a of all paths from level a into v at b
-        if b == a + 1:
-            return list(d.fiber(b, v))
-        out = []
-        for u in d.fiber(b, v):
-            out.extend(comp_sources(a, b - 1, u))
+        # ordered sources at level a of all paths from level a into v at b:
+        # expand the fiber one level at a time, each source in place
+        out = (v,)
+        for lvl in range(b, a, -1):
+            out = [s for u in out for s in d.fiber(lvl, u)]
         return out
 
     new_levels = []

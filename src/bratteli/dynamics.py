@@ -26,7 +26,7 @@ from fractions import Fraction
 from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
-from .order import MAX, MIN, enumerate_paths, extreme_chains, extreme_path
+from .order import MAX, MIN, enumerate_paths, extreme_path
 from .vershik import vershik_step
 
 
@@ -161,7 +161,7 @@ class CylinderGraph:
         return "\n".join(lines) + "\n"
 
 
-def tower_graph(d, depth, lookahead=2, chains=None):
+def tower_graph(d, depth, lookahead=2):
     """Build the step relation between the level-N towers.
 
     One ``vershik_step`` per tower top.  Every top keeps at least one
@@ -171,15 +171,13 @@ def tower_graph(d, depth, lookahead=2, chains=None):
     """
     if depth < 1:
         raise DiagramError("cylinder resolution needs depth at least 1")
-    if chains is None:
-        chains = (extreme_chains(d, MIN), extreme_chains(d, MAX))
     vertices = d.vertices(depth)
     index = {v: t for t, v in enumerate(vertices)}
     out = []
     flagged = []
     for t, v in enumerate(vertices):
         top = extreme_path(d, v, depth, MAX)
-        img = vershik_step(d, top, lookahead, chains)
+        img = vershik_step(d, top, lookahead)
         if img.unresolved:
             flagged.append(t)
             out.append(())
@@ -202,10 +200,10 @@ def tower_graph(d, depth, lookahead=2, chains=None):
                       out, flagged)
 
 
-def cylinder_graph(d, depth, lookahead=2, chains=None):
+def cylinder_graph(d, depth, lookahead=2):
     """The step relation between depth-N cylinders, expanded from the
     tower graph."""
-    return tower_graph(d, depth, lookahead, chains).expand()
+    return tower_graph(d, depth, lookahead).expand()
 
 
 def _decide(g):

@@ -271,9 +271,9 @@ class IndexSet:
                 "elements": [list(e) for e in self.elements]}
 
 
-def index_elements(d, n, mt=None):
+def index_elements(d, n):
     """Index vectors d_1..d_k read off the level-n transition graph."""
-    dm = dvector_matrix(d, n, mt)
+    dm = dvector_matrix(d, n)
     k = d.k
     return IndexSet(n, d.others(n),
                     [[row[i] for row in dm] for i in range(k)])
@@ -319,7 +319,7 @@ def check_index_relations(s, graphs):
     return rep
 
 
-def rational_rank_lower_bound(d, n, mt=None):
+def rational_rank_lower_bound(d, n):
     """Rational rank of the ideal group is at least k: level-n certificate.
 
     Returns (|V_o^n|, report).  The k index vectors span a (k-1)-dim
@@ -334,7 +334,7 @@ def rational_rank_lower_bound(d, n, mt=None):
     size = len(others)
     rep.add("V_o_size", HOLDS if size >= k else FAILS,
             {"level": n, "size": size, "k": k})
-    dm = dvector_matrix(d, n, mt)
+    dm = dvector_matrix(d, n)
     cols = [[row[i] for row in dm] for i in range(k)]
     got = _rank(cols) if dm else 0
     rep.add("index_rank", HOLDS if got == k - 1 else FAILS,

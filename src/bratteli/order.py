@@ -244,14 +244,16 @@ class MarkerTable:
     detected cycle and all marker queries are exact.
     """
 
-    def __init__(self, d, cap=_STATE_CAP):
-        self.d = d
+    def __init__(self, d):
+        # the level-1 labels, not d: the table lives in d's memo, and a
+        # reference back would keep every diagram waiting for the cyclic gc
+        self.labels1 = d.level(1).labels
         ids1 = d.vertices(1)
         self.min_land = [None, {v: v for v in ids1}]
         self.max_land = [None, {v: v for v in ids1}]
         self.t0 = d.depth
         self.period = 0
-        limit = d.depth + cap if d.stationary else d.depth
+        limit = d.depth + _STATE_CAP if d.stationary else d.depth
         seen = {}
         n = 2
         while n <= limit:
@@ -292,18 +294,33 @@ class MarkerTable:
         land = self.landing(kind, n, v)
         if land is None:
             return None
-        lab = self.d.level(1).labels[land]
+        lab = self.labels1[land]
         return None if lab == OTHER else lab
 
 
-def marker_level(d, mt=None):
+def _marker_table(d):
+    """The diagram's MarkerTable, built on first use."""
+    mt = d._memo.get("markers")
+    if mt is None:
+        mt = d._memo["markers"] = MarkerTable(d)
+    return mt
+
+
+def _chains(d, kind):
+    """The diagram's extreme chains of one kind, located on first use."""
+    chains = d._memo.get(kind)
+    if chains is None:
+        chains = d._memo[kind] = extreme_chains(d, kind)
+    return chains
+
+
+def marker_level(d):
     """Least level from which every V_o vertex has both markers.
 
     Returns (L, verdict, witness).  Exact for stationary diagrams via the
     table's state cycle; relative to the presentation otherwise.
     """
-    if mt is None:
-        mt = MarkerTable(d)
+    mt = _marker_table(d)
 
     def resolved(n):
         return all(mt.marker(MIN, n, v) is not None
@@ -357,14 +374,13 @@ class Marker:
         return iter((self.m_minus, self.m_plus))
 
 
-def markers(d, n, mt=None):
+def markers(d, n):
     """Both markers for every V_o vertex at level n, keyed by vertex id.
 
     Raises when any backward chain still sits in V_o at level 1: that is
     the diagram's failure to resolve, not a value to guess.
     """
-    if mt is None:
-        mt = MarkerTable(d)
+    mt = _marker_table(d)
     out = {}
     for v in d.others(n):
         lo = mt.marker(MIN, n, v)
@@ -377,7 +393,7 @@ def markers(d, n, mt=None):
     return out
 
 
-def _max_break_candidates(d, mt, start_level, start_vertex):
+def _max_break_candidates(d, start_level, start_vertex):
     """Routing markers forced on the successor of a maximal edge.
 
     The maximal edge ends at start_vertex on start_level.  Walk forward
@@ -387,6 +403,7 @@ def _max_break_candidates(d, mt, start_level, start_vertex):
     unresolved, looped): unresolved means a route left the presentation,
     looped means a route chains maximal edges forever and never breaks.
     """
+    mt = _marker_table(d)
     cands = set()
     unresolved = False
     looped = False
@@ -424,8 +441,9 @@ def _max_break_candidates(d, mt, start_level, start_vertex):
     return cands, unresolved, looped
 
 
-def _aggregate(d, mt, base_L, violations, unknowns):
+def _aggregate(d, base_L, violations, unknowns):
     """Fold per-level findings into a verdict, letting L absorb transients."""
+    mt = _marker_table(d)
     if mt.period:
         recurring = [v for v in violations if v["level"] >= mt.t0]
         if recurring:
@@ -443,8 +461,9 @@ def _aggregate(d, mt, base_L, violations, unknowns):
     return UNKNOWN, {"relative_from": base_L, "checked_to": mt.built}
 
 
-def _source_compat(d, mt, base_L):
+def _source_compat(d, base_L):
     """Edges sourced in V_o: the successor must refill on the m_plus side."""
+    mt = _marker_table(d)
     violations, unknowns = [], []
     for n in range(max(base_L, 1), mt.built + 1):
         if not d.has_level(n + 1):
@@ -473,7 +492,7 @@ def _source_compat(d, mt, base_L):
                                                "range": t, "rank": j,
                                                "expected": want, "got": got})
                     else:
-                        cands, unres, _ = _max_break_candidates(d, mt, n + 1, t)
+                        cands, unres, _ = _max_break_candidates(d, n + 1, t)
                         bad = sorted(c for c in cands if c != want)
                         if bad:
                             violations.append({"level": n, "vertex": v,
@@ -485,11 +504,12 @@ def _source_compat(d, mt, base_L):
                             unknowns.append({"level": n, "vertex": v,
                                              "range": t, "rank": j,
                                              "why": "break beyond presentation"})
-    return _aggregate(d, mt, base_L, violations, unknowns)
+    return _aggregate(d, base_L, violations, unknowns)
 
 
-def _target_compat(d, mt, base_L):
+def _target_compat(d, base_L):
     """Non-maximal edges from V_i into V_o: the successor refills in V_i."""
+    mt = _marker_table(d)
     violations, unknowns = [], []
     for n in range(max(3, base_L), mt.built + 1):
         for w in d.others(n):
@@ -505,7 +525,7 @@ def _target_compat(d, mt, base_L):
                 elif got != i:
                     violations.append({"level": n, "range": w, "rank": j,
                                        "expected": i, "got": got})
-    return _aggregate(d, mt, base_L, violations, unknowns)
+    return _aggregate(d, base_L, violations, unknowns)
 
 
 def validate_ordered(d, depth_budget=DEFAULT_BUDGET):
@@ -522,13 +542,11 @@ def validate_ordered(d, depth_budget=DEFAULT_BUDGET):
             rep.add(name, UNKNOWN, {"blocked_by": "k_simple"})
         return rep
 
-    cmin = extreme_chains(d, MIN)
-    cmax = extreme_chains(d, MAX)
+    cmin, cmax = _chains(d, MIN), _chains(d, MAX)
     rep.add("extreme_paths", worst([cmin.verdict, cmax.verdict]),
             {"min": cmin.witness, "max": cmax.witness})
 
-    mt = MarkerTable(d)
-    L, lverdict, lwit = marker_level(d, mt)
+    L, lverdict, lwit = marker_level(d)
     if d.k == 1:
         # a single component leaves nothing to route between towers
         lwit = dict(lwit)
@@ -542,10 +560,10 @@ def validate_ordered(d, depth_budget=DEFAULT_BUDGET):
         rep.add("order_compat_source", FAILS, {"blocked_by": "marker_level"})
         rep.add("order_compat_target", FAILS, {"blocked_by": "marker_level"})
         return rep
-    base_L = L if L is not None else mt.built + 1
-    sv, sw = _source_compat(d, mt, base_L)
+    base_L = L if L is not None else _marker_table(d).built + 1
+    sv, sw = _source_compat(d, base_L)
     rep.add("order_compat_source", sv, sw)
-    tv, tw = _target_compat(d, mt, base_L)
+    tv, tw = _target_compat(d, base_L)
     rep.add("order_compat_target", tv, tw)
     return rep
 
@@ -560,14 +578,14 @@ def shorten_telescope(d, depth_budget=DEFAULT_BUDGET, min_fiber=False):
     (diagram, retained_levels); the input comes back unchanged (with None)
     when single gaps already work everywhere.
     """
-    cmin = extreme_chains(d, MIN)
-    cmax = extreme_chains(d, MAX)
+    cmin, cmax = _chains(d, MIN), _chains(d, MAX)
     if FAILS in (cmin.verdict, cmax.verdict):
         raise DiagramError("extreme chains break: %s"
                            % (cmin.witness if cmin.verdict == FAILS
                               else cmax.witness))
 
-    def trunk_set(chains, n):
+    def trunk_set(kind, n):
+        chains = _chains(d, kind)
         out = set()
         for i in range(1, d.k + 1):
             v = chains.vertex(i, n)
@@ -584,7 +602,7 @@ def shorten_telescope(d, depth_budget=DEFAULT_BUDGET, min_fiber=False):
         return s
 
     def admissible(a, c):
-        tmin, tmax = trunk_set(cmin, a), trunk_set(cmax, a)
+        tmin, tmax = trunk_set(MIN, a), trunk_set(MAX, a)
         if tmin is None or tmax is None:
             return False
         return (image(MIN, a, c) <= tmin and image(MAX, a, c) <= tmax)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from ._graph import reach, sccs, undirected
 from ._report import FAILS, HOLDS, DiagramError, ValidationReport
-from .diagram import OTHER
-from .order import MAX, MIN, MarkerTable, marker_level
+from .diagram import OTHER, _mat_vec
+from .order import MAX, MIN, _marker_table, marker_level
 
 
 class TransitionGraph:
@@ -48,10 +48,9 @@ class TransitionGraph:
         return "\n".join(lines) + "\n"
 
 
-def transition_graph(d, n, mt=None):
+def transition_graph(d, n):
     """Build the level-n transition graph; markers must resolve there."""
-    if mt is None:
-        mt = MarkerTable(d)
+    mt = _marker_table(d)
     edges = []
     for v in d.others(n):
         lo = mt.marker(MIN, n, v)
@@ -65,9 +64,9 @@ def transition_graph(d, n, mt=None):
     return TransitionGraph(d.k, n, edges)
 
 
-def dvectors(d, n, mt=None):
+def dvectors(d, n):
     """Index vector of every V_o vertex at level n, keyed by vertex id."""
-    tg = transition_graph(d, n, mt)
+    tg = transition_graph(d, n)
     out = {}
     for v, s, t in tg.edges:
         vec = [0] * d.k
@@ -76,9 +75,9 @@ def dvectors(d, n, mt=None):
         out[v] = tuple(vec)
     return out
 
-def dvector_matrix(d, n, mt=None):
+def dvector_matrix(d, n):
     """Rows aligned with the V_o listing at level n, columns with Y_1..Y_k."""
-    vecs = dvectors(d, n, mt)
+    vecs = dvectors(d, n)
     return [list(vecs[v]) for v in d.others(n)]
 
 
@@ -130,7 +129,7 @@ def check_structure(tg, non_elementary):
     return rep
 
 
-def lift_edge_to_path(d, n, w, mt=None):
+def lift_edge_to_path(d, n, w):
     """Read the fiber of w in V_o^{n+1} off as a walk in the level-n graph.
 
     Dropping the component-sourced edges from the ordered fiber leaves a
@@ -142,8 +141,7 @@ def lift_edge_to_path(d, n, w, mt=None):
     its own marker components.  Any miss raises; it means the diagram
     slipped past the validator.
     """
-    if mt is None:
-        mt = MarkerTable(d)
+    mt = _marker_table(d)
     if d.label(n + 1, w) != OTHER:
         raise DiagramError("%r is a component vertex, not an edge label" % w)
     lo = mt.marker(MIN, n + 1, w)
@@ -218,22 +216,22 @@ def index_pushforward(d):
     to the level-(n+1) one, for every level at or above the marker level
     that the presentation (or the stationary period) exhibits.
     """
-    mt = MarkerTable(d)
-    L, verdict, wit = marker_level(d, mt)
+    L, verdict, wit = marker_level(d)
     rep = ValidationReport()
     if L is None:
         rep.add("index_pushforward", verdict, {"marker_level": wit})
         return rep
     checked = []
-    top = mt.built if d.stationary else d.depth - 1
+    top = _marker_table(d).built if d.stationary else d.depth - 1
     for n in range(L, top + 1):
         if not d.has_level(n + 1):
             break
         g = other_block(d, n)
-        dn = dvector_matrix(d, n, mt)
-        dn1 = dvector_matrix(d, n + 1, mt)
-        pushed = [[sum(g[r][c] * dn[c][j] for c in range(len(dn)))
-                   for j in range(d.k)] for r in range(len(g))]
+        dn = dvector_matrix(d, n)
+        dn1 = dvector_matrix(d, n + 1)
+        # g @ dn, one column of dn at a time
+        cols = [_mat_vec(g, [row[j] for row in dn]) for j in range(d.k)]
+        pushed = [list(row) for row in zip(*cols)]
         if pushed != dn1:
             rep.add("index_pushforward", FAILS,
                     {"level": n, "pushed": pushed, "expected": dn1})

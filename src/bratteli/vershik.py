@@ -10,9 +10,7 @@ extensions land after the increment happens further up.
 
 from __future__ import annotations
 
-from .diagram import DiagramError
-from .order import (MAX, MIN, Path, enumerate_paths, extreme_chains,
-                    extreme_path)
+from .order import MAX, MIN, Path, _chains, enumerate_paths, extreme_path
 
 
 class Maximal:
@@ -63,9 +61,8 @@ def _first_movable(d, p, direction):
     return None
 
 
-def _identify_extreme(d, p, kind, chains):
-    if chains is None:
-        chains = extreme_chains(d, kind)
+def _identify_extreme(d, p, kind):
+    chains = _chains(d, kind)
     n = p.depth
     if chains.certain(n):
         for i in range(1, d.k + 1):
@@ -74,43 +71,41 @@ def _identify_extreme(d, p, kind, chains):
     return None
 
 
-def successor(d, p, chains=None):
+def _move(d, p, direction):
+    """One lex step toward the ``direction`` end of p's tower.
+
+    Moves the shallowest edge that is not at that end of its fiber one
+    place and refills every level below it from the opposite end.  A
+    path with no such edge is the tower's extreme floor in that direction.
+    """
+    j = _first_movable(d, p, direction)
+    if j is None:
+        end = Maximal if direction == MAX else Minimal
+        return end(_identify_extreme(d, p, direction))
+    new_rank = p.ranks[j] + (1 if direction == MAX else -1)
+    if j == 0:
+        head_verts, head_ranks = (), ()
+    else:
+        src = d.fiber(j + 1, p.verts[j])[new_rank]
+        head = extreme_path(d, src, j, MIN if direction == MAX else MAX)
+        head_verts, head_ranks = head.verts, head.ranks
+    return Path(head_verts + p.verts[j:],
+                head_ranks + (new_rank,) + p.ranks[j + 1:])
+
+
+def successor(d, p):
     """Next path in lex order with the same range, or a Maximal marker.
 
     ``Maximal(i)`` says the path is the depth-N truncation of z_{i,max};
     ``Maximal(None)`` says it is fiber-maximal but tops no canonical chain
     (or the chain cannot be pinned down from the presentation).
     """
-    j = _first_movable(d, p, MAX)
-    if j is None:
-        return Maximal(_identify_extreme(d, p, MAX, chains))
-    fib = d.fiber(j + 1, p.verts[j])
-    new_rank = p.ranks[j] + 1
-    src = fib[new_rank]
-    if j == 0:
-        head_verts, head_ranks = (), ()
-    else:
-        head = extreme_path(d, src, j, MIN)
-        head_verts, head_ranks = head.verts, head.ranks
-    return Path(head_verts + p.verts[j:],
-                head_ranks + (new_rank,) + p.ranks[j + 1:])
+    return _move(d, p, MAX)
 
 
-def predecessor(d, p, chains=None):
+def predecessor(d, p):
     """Previous path in lex order, or a Minimal marker."""
-    j = _first_movable(d, p, MIN)
-    if j is None:
-        return Minimal(_identify_extreme(d, p, MIN, chains))
-    fib = d.fiber(j + 1, p.verts[j])
-    new_rank = p.ranks[j] - 1
-    src = fib[new_rank]
-    if j == 0:
-        head_verts, head_ranks = (), ()
-    else:
-        head = extreme_path(d, src, j, MAX)
-        head_verts, head_ranks = head.verts, head.ranks
-    return Path(head_verts + p.verts[j:],
-                head_ranks + (new_rank,) + p.ranks[j + 1:])
+    return _move(d, p, MIN)
 
 
 def tower_heights(d, n):
@@ -135,29 +130,16 @@ class KRPartition:
         return [len(self.floors[v]) for v in self.vertices]
 
 
-def towers(d, n, verify=True):
+def towers(d, n):
     """The Kakutani-Rokhlin partition at level n, one tower per vertex."""
     vs = d.vertices(n)
-    return KRPartition(n, vs, {v: tower(d, v, n, verify) for v in vs})
+    return KRPartition(n, vs, {v: tower(d, v, n) for v in vs})
 
 
-def tower(d, v, depth, verify=True):
-    """Floors of the tower over v, ground first.
-
-    With verify the successor map is checked to climb the floors one by
-    one and to top out at the last; this ties the enumeration order to the
-    dynamics and is cheap at the depths towers get materialized.
-    """
-    floors = list(enumerate_paths(d, v, depth))
-    if verify:
-        for a, b in zip(floors, floors[1:]):
-            nxt = successor(d, a)
-            if nxt != b:
-                raise DiagramError("tower floors out of successor order at %r"
-                                   % (a,))
-        if not isinstance(successor(d, floors[-1]), Maximal):
-            raise DiagramError("tower top still has a successor")
-    return floors
+def tower(d, v, depth):
+    """Floors of the tower over v, ground first: the paths into v in lex
+    order, so each floor's successor is the next one."""
+    return list(enumerate_paths(d, v, depth))
 
 
 def traversal_matrix(d, n):
@@ -188,14 +170,12 @@ class StepImage:
         self.unresolved = unresolved
 
 
-def _step_image(d, p, lookahead, chains, direction):
+def _step_image(d, p, lookahead, direction):
     n = p.depth
-    cmin, cmax = chains
-    ahead = cmax if direction == MAX else cmin
-    wrap = cmin if direction == MAX else cmax
     kind = MIN if direction == MAX else MAX
+    ahead, wrap = _chains(d, direction), _chains(d, kind)
     move = successor if direction == MAX else predecessor
-    nxt = move(d, p, ahead)
+    nxt = move(d, p)
     if isinstance(nxt, Path):
         return StepImage((nxt,), False)
 
@@ -265,7 +245,7 @@ def _step_image(d, p, lookahead, chains, direction):
     return StepImage(targets, unresolved)
 
 
-def vershik_step(d, p, lookahead=2, chains=None):
+def vershik_step(d, p, lookahead=2):
     """Depth-N windows reachable one step forward from extensions of p.
 
     Non-maximal paths step to their successor.  For a maximal path the
@@ -276,29 +256,25 @@ def vershik_step(d, p, lookahead=2, chains=None):
     window; walks that reach it off-trunk get one extra level to break,
     and the image is flagged unresolved if a continuation survives that.
     """
-    if chains is None:
-        chains = (extreme_chains(d, MIN), extreme_chains(d, MAX))
-    return _step_image(d, p, lookahead, chains, MAX)
+    return _step_image(d, p, lookahead, MAX)
 
 
-def inverse_step(d, p, lookahead=2, chains=None):
+def inverse_step(d, p, lookahead=2):
     """Mirror of vershik_step: one step backward, min and max swapped."""
-    if chains is None:
-        chains = (extreme_chains(d, MIN), extreme_chains(d, MAX))
-    return _step_image(d, p, lookahead, chains, MIN)
+    return _step_image(d, p, lookahead, MIN)
 
 
-def orbit(d, p, steps, reverse=False, chains=None):
+def orbit(d, p, steps, reverse=False):
     """Iterate the successor (or predecessor) map from p.
 
     Returns (paths, terminal): paths starts with p; terminal is the
     Maximal or Minimal marker that stopped the walk early, else None.
     """
+    move = predecessor if reverse else successor
     out = [p]
     cur = p
     for _ in range(steps):
-        cur = (predecessor(d, cur, chains) if reverse
-               else successor(d, cur, chains))
+        cur = move(d, cur)
         if not isinstance(cur, Path):
             return out, cur
         out.append(cur)

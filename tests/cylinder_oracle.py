@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from bratteli import (FAILS, HOLDS, MAX, MIN, UNKNOWN, CylinderGraph,
-                      DiagramError, Path, extreme_chains, path_text,
-                      vershik_step)
+from bratteli import (FAILS, HOLDS, UNKNOWN, CylinderGraph, DiagramError,
+                      Path, path_text, vershik_step)
 
 
 def recursive_paths(d, end, depth):
@@ -30,7 +29,6 @@ def node_graph(d, depth, lookahead=2):
     """The cylinder graph with a step computed for every node."""
     if depth < 1:
         raise DiagramError("cylinder resolution needs depth at least 1")
-    chains = (extreme_chains(d, MIN), extreme_chains(d, MAX))
     nodes = []
     for v in d.vertices(depth):
         nodes.extend(recursive_paths(d, v, depth))
@@ -38,7 +36,7 @@ def node_graph(d, depth, lookahead=2):
     out = []
     flagged = set()
     for i, p in enumerate(nodes):
-        img = vershik_step(d, p, lookahead, chains)
+        img = vershik_step(d, p, lookahead)
         if img.unresolved:
             flagged.add(i)
             out.append(())

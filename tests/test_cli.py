@@ -229,6 +229,35 @@ def test_telescope_rejects_junk_levels(capsys):
     assert "comma list" in err
 
 
+# k = 1 with u <- u and w <- u, w repeating: w has n paths at level n,
+# so its composite fiber grows one edge per skipped level
+_LINEAR_DOC = {
+    "kind": "bratteli", "k": 1, "stationary": True,
+    "levels": [
+        {"vertices": [{"id": "u", "class": {"minimal": 1}},
+                      {"id": "w", "class": "other"}],
+         "edges": [{"source": "root", "range": "u"},
+                   {"source": "root", "range": "w"}]},
+        {"vertices": [{"id": "u", "class": {"minimal": 1}},
+                      {"id": "w", "class": "other"}],
+         "edges": [{"source": "u", "range": "u"},
+                   {"source": "u", "range": "w"},
+                   {"source": "w", "range": "w"}]},
+    ],
+}
+
+
+def test_telescope_across_1500_levels(capsys, tmp_path):
+    f = tmp_path / "linear.json"
+    f.write_text(json.dumps(_LINEAR_DOC))
+    code, out, err = _run(capsys, "telescope", str(f), "--levels", "0,1500")
+    assert (code, err) == (0, "")
+    (level,) = json.loads(out)["levels"]
+    ranges = [e["range"] for e in level["edges"]]
+    assert ranges.count("w") == 1500
+    assert ranges.count("u") == 1
+
+
 # -- Towers and orbits -------------------------------------------------------
 
 def test_towers_text_heights(capsys):

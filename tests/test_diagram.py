@@ -289,6 +289,27 @@ def test_telescope_composite_fibers_sorted(ex57):
         assert composite == tuple(p.verts[0] for p in two_step)
 
 
+def _recursive_sources(d, a, b, v):
+    # the composite fiber as the recursion over skipped levels lists it
+    if b == a + 1:
+        return list(d.fiber(b, v))
+    return [s for u in d.fiber(b, v)
+            for s in _recursive_sources(d, a, b - 1, u)]
+
+
+@pytest.mark.parametrize("fixture", ["ex57", "ex57_unordered", "ex82",
+                                     "five_vertex", "odometer",
+                                     "two_odometers"])
+def test_telescope_fibers_match_recursive_expansion(request, fixture):
+    d = request.getfixturevalue(fixture)
+    for levels in ([0, 1, 3], [0, 2, 5], [0, 3, 4, 6], [0, 1, 2, 3, 4],
+                   [0, 4, 7]):
+        t = telescope(d, levels)
+        for j, (a, b) in enumerate(zip(levels, levels[1:]), start=1):
+            for v in t.vertices(j):
+                assert list(t.fiber(j, v)) == _recursive_sources(d, a, b, v)
+
+
 def test_telescope_identity_is_noop(ex82):
     t = telescope(ex82, [0, 1, 2])
     assert t.incidence(1) == ex82.incidence(1)

@@ -14,6 +14,8 @@ import pytest
 from bratteli import (
     FAILS,
     HOLDS,
+    MAX,
+    MIN,
     DiagramError,
     MarkerTable,
     TransitionGraph,
@@ -57,9 +59,16 @@ def test_dvectors_of_five_vertex(five_vertex):
 
 
 def test_graph_shared_marker_table(ex57):
-    mt = MarkerTable(ex57)
-    assert transition_graph(ex57, 3, mt).edges == \
-        transition_graph(ex57, 3).edges
+    # every level reads the one table kept with the diagram, and it says
+    # what a freshly built table says
+    from bratteli.order import _marker_table
+    mt = _marker_table(ex57)
+    fresh = MarkerTable(ex57)
+    for n in (2, 3, 9):
+        assert transition_graph(ex57, n).edges == tuple(
+            (v, fresh.marker(MIN, n, v), fresh.marker(MAX, n, v))
+            for v in ex57.others(n))
+    assert _marker_table(ex57) is mt
 
 
 def test_check_structure_on_fixture_graph(ex57):
