@@ -9,30 +9,27 @@ prescribed d-vectors, and chain dynamics at finite cylinder resolution.
 
 from ._report import (FAILS, HOLDS, UNKNOWN, Check, DiagramError,
                       ValidationReport, worst)
-from .diagram import (DEFAULT_BUDGET, Diagram, IdealPart, Level,
-                      ideal_subdiagram, interpolate_strong, load_diagram,
-                      parse_diagram, promote_stationary, telescope,
-                      validate_unordered)
+from .diagram import (DEFAULT_BUDGET, Diagram, Level, load_diagram,
+                      parse_diagram, telescope, validate_unordered)
 from .dynamics import (CylinderGraph, Diverges, TowerGraph, chain_transitive,
-                       cover_steps, cylinder_graph, epsilon_chain, metric,
-                       path_text, pseudo_orbit, saturation_sets,
-                       saturation_sizes, tower_graph)
+                       cover_steps, cylinder_graph, epsilon_chain, path_text,
+                       pseudo_orbit, saturation_sets, saturation_sizes,
+                       tower_graph)
 from .ktheory import (IndexSet, bounded_norm_membership,
                       check_index_relations, class_is_zero, eq,
-                      index_elements, is_positive, order_unit, push_once,
-                      pushforward, pushforwards, rational_rank_lower_bound)
-from .order import (MAX, MIN, ExtremeChains, Marker, MarkerTable, Path,
-                    enumerate_paths, extreme_chains, extreme_path,
-                    lex_compare, make_path, marker_level, markers,
-                    pointer_map, shorten_telescope, validate_ordered)
-from .realize import (DVectors, Multigraph, NoWalk, check_compatibility,
-                      euler_walk, graphs_from_dvectors, load_dvectors,
-                      parse_dvectors, synthesize_order)
+                      index_elements, is_positive, pushforward,
+                      rational_rank_lower_bound)
+from .order import (MAX, MIN, ExtremeChains, MarkerTable, Path,
+                    enumerate_paths, extreme_chains, extreme_path, make_path,
+                    marker_level, pointer_map, validate_ordered)
+from .realize import (DVectors, Multigraph, NoWalk, euler_walk,
+                      graphs_from_dvectors, load_dvectors, parse_dvectors,
+                      synthesize_order)
 from .transgraph import (TransitionGraph, check_structure, dvector_matrix,
                          dvectors, index_pushforward, lift_edge_to_path,
                          other_block, transition_graph)
 from .vershik import (KRPartition, Maximal, Minimal, StepImage,
                       inverse_step, orbit, predecessor, successor, tower,
-                      tower_heights, towers, traversal_matrix, vershik_step)
+                      towers, traversal_matrix, vershik_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

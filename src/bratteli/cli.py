@@ -21,7 +21,7 @@ import os
 import sys
 
 from ._report import FAILS, HOLDS, DiagramError, ValidationReport, worst
-from .diagram import (DEFAULT_BUDGET, load_diagram, telescope,
+from .diagram import (DEFAULT_BUDGET, _read_json, load_diagram, telescope,
                       validate_unordered)
 from .dynamics import (Diverges, chain_transitive, cover_steps,
                        cylinder_graph, epsilon_chain, path_text, pseudo_orbit,
@@ -40,12 +40,15 @@ def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get("BDK_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DiagramError("BDK_BUDGET must be an integer, got %r" % env)
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        raise DiagramError("BDK_BUDGET must be an integer, got %r" % env)
+    if value < 0:
+        raise DiagramError("BDK_BUDGET must be at least 0, got %d" % value)
+    return value
 
 
 def _emit(text, args):
@@ -287,8 +290,7 @@ def cmd_chain(args):
 
 def _cover_set(d, args):
     if args.set is not None:
-        with open(args.set) as fh:
-            entries = json.load(fh)
+        entries = _read_json(args.set)
         if (not isinstance(entries, list) or not entries
                 or not all(isinstance(e, str) for e in entries)):
             raise DiagramError("--set wants a JSON array of path strings")
@@ -369,7 +371,7 @@ def cmd_kpush(args):
     return _exit_for(rep.overall(), args)
 
 
-def _lookahead(text):
+def _count(text):
     try:
         value = int(text)
     except ValueError:
@@ -397,7 +399,7 @@ def _build_parser():
     _add_common(sp)
     sp.add_argument("--ordered", action="store_true",
                     help="also check the order conditions")
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=_count, default=None,
                     help="extra levels to search (default BDK_BUDGET or 10)")
     sp.add_argument("--strict", action="store_true",
                     help="treat Unknown as failure")
@@ -422,7 +424,7 @@ def _build_parser():
     _add_common(sp)
     sp.add_argument("--start", required=True, metavar="PATH",
                     help="path as END:r1,r2,... with one-based ranks")
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_count, required=True)
     sp.add_argument("--reverse", action="store_true",
                     help="iterate the predecessor map instead")
     sp.set_defaults(func=cmd_orbit)
@@ -464,7 +466,7 @@ def _build_parser():
                     help="shortest closed chain through the start path")
     sp.add_argument("--depth", type=int, default=None,
                     help="cylinder depth for the transitivity report")
-    sp.add_argument("--lookahead", type=_lookahead, default=2)
+    sp.add_argument("--lookahead", type=_count, default=2)
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_chain)
 
@@ -478,7 +480,7 @@ def _build_parser():
                     help="cylinder depth for the default set")
     sp.add_argument("--direction", choices=("forward", "backward"),
                     default="forward")
-    sp.add_argument("--lookahead", type=_lookahead, default=2)
+    sp.add_argument("--lookahead", type=_count, default=2)
     sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("kpush", help="transport a K-theory vector and "
@@ -497,7 +499,7 @@ def _build_parser():
                     help="test positivity of the class")
     sp.add_argument("--bound", type=int, default=None, metavar="M",
                     help="test membership in the norm-M bounded part")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=_count, default=None)
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_kpush)
 
@@ -513,9 +515,6 @@ def main(argv=None):
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print("error: not valid JSON: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:
         # a bug, not a verdict: say so, keep the traceback for the report

@@ -155,10 +155,7 @@ class Diagram:
 
 def parse_diagram(text):
     """Parse and structurally check the diagram JSON format."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise DiagramError("invalid JSON: %s" % exc)
+    doc = _parse_json(text)
     if not isinstance(doc, dict) or doc.get("kind") != "bratteli":
         raise DiagramError('top-level object must have "kind": "bratteli"')
     k = doc.get("k")
@@ -253,11 +250,29 @@ def parse_diagram(text):
 
 
 def load_diagram(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_diagram(fh.read())
 
 
-# --- matrix helpers: integers, and the boolean / capped semirings ---
+def _parse_json(text):
+    """Decode JSON text, or its UTF-8 bytes.  Bytes that are not UTF-8,
+    bad syntax, and nesting deeper than the decoder can follow (it raises
+    RecursionError) are all a DiagramError."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DiagramError("invalid JSON: %s" % exc)
+
+
+def _read_json(path):
+    """The JSON document in a file: a prescription or a path set."""
+    with open(path, "rb") as fh:
+        return _parse_json(fh.read())
+
+
+# --- matrix helpers: integers, and the saturating semirings ---
 
 def _mat_vec(mat, vec):
     """The integer product mat @ vec, as a tuple."""
@@ -270,42 +285,22 @@ def _rows_all_or_none(mat):
 def _sub_block(mat, rows, cols):
     return [[mat[r][c] for c in cols] for r in rows]
 
-def _bool(mat):
-    return tuple(tuple(1 if e else 0 for e in row) for row in mat)
+def _capped(mat, cap):
+    return tuple(tuple(min(cap, e) for e in row) for row in mat)
 
-def _bool_mul(a, b):
-    # rows of a, cols of b
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
+def _capped_mul(a, b, cap):
+    """Product saturating at cap: cap 1 is the boolean semiring, cap 2
+    keeps the {0, 1, >=2} abstraction exact."""
+    m, p = len(b), len(b[0]) if b else 0
     out = []
-    for i in range(n):
+    for arow in a:
         row = []
-        arow = a[i]
-        for j in range(p):
-            v = 0
-            for t in range(m):
-                if arow[t] and b[t][j]:
-                    v = 1
-                    break
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
-
-def _cap2(mat):
-    return tuple(tuple(min(2, e) for e in row) for row in mat)
-
-def _cap2_mul(a, b):
-    # saturating at 2 keeps the {0, 1, >=2} abstraction exact
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        arow = a[i]
         for j in range(p):
             v = 0
             for t in range(m):
                 v += arow[t] * b[t][j]
-                if v >= 2:
-                    v = 2
+                if v >= cap:
+                    v = cap
                     break
             row.append(v)
         out.append(tuple(row))
@@ -316,17 +311,14 @@ def _component_indices(d, n, i):
     lev = d.level(n)
     return [lev.index[v] for v in lev.ids if lev.labels[v] == i]
 
-def _other_indices(d, n):
-    lev = d.level(n)
-    return [lev.index[v] for v in lev.ids if lev.labels[v] == OTHER]
 
-
-def _search_products(d, start, pick_rows, pick_cols, mul, prep, done, budget):
+def _search_products(d, start, label, cap, done, budget):
     """Walk products M = B(m-1)...B(start) of label-restricted blocks.
 
     Returns ("Holds", m) at the first m with done(M), ("Fails", m) when a
     stationary state cycle rules it out, ("Unknown", m) past the budget or
-    presentation.  pick_rows/pick_cols select the block of incidence(j).
+    presentation.  B(j) is the block of incidence(j) between the vertices
+    labeled ``label`` at levels j and j+1, with entries capped at ``cap``.
     """
     state = None
     seen = {}
@@ -336,9 +328,10 @@ def _search_products(d, start, pick_rows, pick_cols, mul, prep, done, budget):
         nxt = m + 1
         if not d.has_level(nxt):
             return (UNKNOWN, m)
-        block = prep(_sub_block(d.incidence(m),
-                                pick_rows(d, nxt), pick_cols(d, m)))
-        state = block if state is None else mul(block, state)
+        block = _capped(_sub_block(d.incidence(m),
+                                   _component_indices(d, nxt, label),
+                                   _component_indices(d, m, label)), cap)
+        state = block if state is None else _capped_mul(block, state, cap)
         m = nxt
         steps += 1
         if done(state):
@@ -413,11 +406,8 @@ def _k_simple_check(d, depth_budget, rep):
         starts = range(1, d.depth + 1) if d.stationary else range(1, d.depth)
         for i in range(1, k + 1):
             for n in starts:
-                verdict, m = _search_products(
-                    d, n,
-                    lambda dd, j, i=i: _component_indices(dd, j, i),
-                    lambda dd, j, i=i: _component_indices(dd, j, i),
-                    _bool_mul, _bool, all_positive, depth_budget)
+                verdict, m = _search_products(d, n, i, 1, all_positive,
+                                              depth_budget)
                 if verdict != HOLDS:
                     conn = worst([conn, verdict])
                     conn_witness.append({"component": i, "level": n,
@@ -454,10 +444,8 @@ def validate_unordered(d, depth_budget=DEFAULT_BUDGET):
         for n in starts:
             if not d.others(n):
                 continue  # nothing to connect to
-            verdict, m = _search_products(
-                d, n, lambda dd, j: _other_indices(dd, j),
-                lambda dd, j: _other_indices(dd, j),
-                _bool_mul, _bool, _rows_all_or_none, depth_budget)
+            verdict, m = _search_products(d, n, OTHER, 1, _rows_all_or_none,
+                                          depth_budget)
             if verdict != HOLDS:
                 strong = worst([strong, verdict])
                 strong_witness = {"level": n, "stalled_at": m}
@@ -480,10 +468,8 @@ def validate_unordered(d, depth_budget=DEFAULT_BUDGET):
     for n in starts:
         if not d.others(n):
             continue
-        verdict, m = _search_products(
-            d, n, lambda dd, j: _other_indices(dd, j),
-            lambda dd, j: _other_indices(dd, j),
-            _cap2_mul, _cap2, no_single, depth_budget)
+        verdict, m = _search_products(d, n, OTHER, 2, no_single,
+                                      depth_budget)
         if verdict != HOLDS:
             nonel = worst([nonel, verdict])
             nonel_witness = {"level": n, "stalled_at": m}
@@ -536,186 +522,3 @@ def telescope(d, levels):
             and new_levels[-1].ids == new_levels[-2].ids
             and new_levels[-1].labels == new_levels[-2].labels)
     return Diagram(new_levels, d.k, stat)
-
-
-class IdealPart:
-    """Restriction of a diagram to its V_o vertices and the edges among them."""
-
-    def __init__(self, diagram, trivial_from, synthetic_roots):
-        self.diagram = diagram         # None when the ideal is trivial
-        self.trivial_from = trivial_from
-        self.synthetic_roots = tuple(synthetic_roots)
-
-    @property
-    def trivial(self):
-        return self.diagram is None
-
-
-def ideal_subdiagram(d):
-    """Extract the sub-diagram spanned by V_o.
-
-    Vertices whose whole fiber is dropped get a synthetic root edge so the
-    direct limit over the restricted incidences stays well-posed; they are
-    listed in ``synthetic_roots``.
-    """
-    for n in range(1, d.depth + 1):
-        if not d.others(n):
-            return IdealPart(None, n, [])
-    synthetic = []
-    new_levels = []
-    for n in range(1, d.depth + 1):
-        lev = d.level(n)
-        keep = [v for v in lev.ids if lev.labels[v] == OTHER]
-        keepset = set(keep)
-        edges = []
-        for v in keep:
-            srcs = [s for s in lev.fibers[v]
-                    if (n == 1 and s == ROOT) or (n > 1 and s in prev_keep)]
-            if not srcs:
-                synthetic.append((n, v))
-                srcs = [ROOT]
-            for s in srcs:
-                edges.append((s, v))
-        new_levels.append(Level(keep, {v: OTHER for v in keep}, edges))
-        prev_keep = keepset
-    ideal = Diagram(new_levels, 0, d.stationary)
-    return IdealPart(ideal, None, synthetic)
-
-
-def _strong_witness_chain(d, depth_budget):
-    """Levels 1 = a_0 < a_1 < ... where V_o connectivity is all-or-none."""
-    chain = [1]
-    # stationary: the witness gap repeats; otherwise walk the presentation
-    while True:
-        n = chain[-1]
-        if d.stationary and len(chain) >= 4:
-            break
-        if not d.stationary and n >= d.depth:
-            break
-        if len(chain) > d.depth + 2 * depth_budget + 4:
-            break
-        if not d.has_level(n + 1):
-            break
-        if not d.others(n):
-            chain.append(n + 1)
-            continue
-        verdict, m = _search_products(
-            d, n, lambda dd, j: _other_indices(dd, j),
-            lambda dd, j: _other_indices(dd, j),
-            _bool_mul, _bool, _rows_all_or_none, depth_budget)
-        if verdict != HOLDS:
-            break
-        chain.append(m)
-    return chain
-
-
-def _offset(ids, taken):
-    """Deterministically rename colliding ids with prime marks."""
-    out = []
-    for v in ids:
-        w = v
-        while w in taken:
-            w = w + "'"
-        taken.add(w)
-        out.append(w)
-    return out
-
-
-def interpolate_strong(d, depth_budget=DEFAULT_BUDGET):
-    """Normalize so every V_o vertex sees the whole previous level.
-
-    If every V_o^{n+1} vertex already connects to all of V^n the diagram is
-    returned unchanged.  Otherwise the diagram is telescoped to levels where
-    V_o connectivity is all-or-none, each consecutive pair is split by an
-    intermediate level (component vertices ride identity edges, connected
-    V_o vertices are pulled down as copies), and the result is telescoped to
-    the intermediate levels.  Equivalence with the input is verified by
-    path-count comparison through the doubled diagram.
-    """
-    base = validate_unordered(d, depth_budget)
-    if base.verdict("k_simple") == FAILS:
-        raise DiagramError("interpolation requires a k-simple diagram: %s"
-                           % base.witness("k_simple"))
-
-    def already_good(dd):
-        for n in range(1, dd.depth):
-            mat = dd.incidence(n)
-            lev = dd.level(n + 1)
-            for ri, v in enumerate(lev.ids):
-                if lev.labels[v] == OTHER and not all(mat[ri]):
-                    return False
-        return True
-
-    if already_good(d):
-        return d
-
-    chain = _strong_witness_chain(d, depth_budget)
-    if len(chain) < 3:
-        raise DiagramError("cannot locate interpolation levels within budget")
-    dt = telescope(d, [0] + chain)
-
-    # doubled diagram: V^1, W^1, V^2, W^2, ..., V^D with W^j between j, j+1
-    dbl_levels = [dt.level(1)]
-    for j in range(1, dt.depth):
-        lo, hi = dt.level(j), dt.level(j + 1)
-        comps = [v for v in lo.ids if lo.labels[v] != OTHER]
-        connected = []
-        routed = []
-        for v in hi.ids:
-            if hi.labels[v] != OTHER:
-                continue
-            if any(lo.labels[s] == OTHER for s in hi.fibers[v]):
-                connected.append(v)
-            else:
-                routed.append(v)
-        if dt.k >= 2 and not connected:
-            raise DiagramError(
-                "interpolation would empty V_o between levels %d and %d"
-                % (j, j + 1))
-        taken = set(comps)
-        copy_ids = _offset(connected, taken)
-        copy_of = dict(zip(connected, copy_ids))
-        mid_ids = comps + copy_ids
-        mid_labels = {v: lo.labels[v] for v in comps}
-        mid_labels.update({c: OTHER for c in copy_ids})
-        mid_edges = []
-        for w in comps:
-            mid_edges.append((w, w))
-        for v in connected:
-            for s in hi.fibers[v]:
-                mid_edges.append((s, copy_of[v]))
-        dbl_levels.append(Level(mid_ids, mid_labels, mid_edges))
-        out_edges = []
-        for v in hi.ids:
-            if hi.labels[v] != OTHER or v in routed:
-                for s in hi.fibers[v]:
-                    out_edges.append((s, v))
-            else:
-                out_edges.append((copy_of[v], v))
-        dbl_levels.append(Level(hi.ids, hi.labels, out_edges))
-    doubled = Diagram(dbl_levels, dt.k, False)
-
-    # telescoping the doubled diagram back onto the V levels must give dt
-    back = telescope(doubled, [0] + list(range(1, 2 * dt.depth, 2)))
-    for lev_a, lev_b in zip(back.levels, dt.levels):
-        if lev_a.ids != lev_b.ids or lev_a.edges != lev_b.edges:
-            raise DiagramError("interpolation broke path counts")
-
-    out = telescope(doubled, [0] + list(range(2, 2 * dt.depth - 1, 2)))
-    if dt.stationary:
-        out = promote_stationary(out)
-    return out
-
-
-def promote_stationary(d):
-    """Mark a diagram stationary when its last two explicit levels coincide.
-
-    Only call this when the construction that produced d is known to repeat
-    its final block; the flag extends the diagram past the presentation.
-    """
-    if d.stationary or d.depth < 2:
-        return d
-    a, b = d.levels[-2], d.levels[-1]
-    if a.ids == b.ids and a.labels == b.labels and a.edges == b.edges:
-        return Diagram(d.levels, d.k, True)
-    return d

@@ -21,25 +21,11 @@ verdicts that would rely on them degrade to Unknown.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
 from .order import MAX, MIN, enumerate_paths, extreme_path
 from .vershik import vershik_step
-
-
-def metric(p, q):
-    """Distance 2^-m between paths first disagreeing at level m."""
-    m = 1
-    for a, b in zip(zip(p.verts, p.ranks), zip(q.verts, q.ranks)):
-        if a != b:
-            return Fraction(1, 2 ** m)
-        m += 1
-    if p.depth != q.depth:
-        return Fraction(1, 2 ** m)
-    return Fraction(0)
 
 
 def path_text(p):
@@ -119,8 +105,7 @@ class CylinderGraph:
     height 1, so hand-built relations go through the same routine.
     """
 
-    __slots__ = ("depth", "lookahead", "nodes", "index", "out", "flagged",
-                 "scale")
+    __slots__ = ("depth", "lookahead", "nodes", "index", "out", "flagged")
 
     def __init__(self, depth, lookahead, nodes, out, flagged):
         self.depth = depth
@@ -129,7 +114,6 @@ class CylinderGraph:
         self.index = {p: i for i, p in enumerate(self.nodes)}
         self.out = tuple(tuple(sorted(t)) for t in out)
         self.flagged = frozenset(flagged)
-        self.scale = Fraction(1, 2 ** depth)
 
     def __len__(self):
         return len(self.nodes)

@@ -38,12 +38,6 @@ def _check_vec(d, n, vec, ideal):
     return tuple(int(x) for x in vec)
 
 
-def push_once(d, n, vec, ideal=False):
-    """Transport a level-n vector to level n+1."""
-    vec = _check_vec(d, n, vec, ideal)
-    return _mat_vec(_block(d, n, ideal), vec)
-
-
 def pushforward(d, x, to_level, ideal=False):
     """Transport the (level, vector) element x to a deeper level."""
     n, vec = x
@@ -55,21 +49,6 @@ def pushforward(d, x, to_level, ideal=False):
         vec = _mat_vec(_block(d, n, ideal), vec)
         n += 1
     return (n, vec)
-
-
-def pushforwards(d, n, vec, steps, ideal=False):
-    """The vector and its next ``steps`` images, shallow to deep."""
-    out = [_check_vec(d, n, vec, ideal)]
-    for j in range(steps):
-        if not d.has_level(n + j + 1):
-            break
-        out.append(_mat_vec(_block(d, n + j, ideal), out[-1]))
-    return out
-
-
-def order_unit(d, n):
-    """The canonical positive generator at level n: the tower heights."""
-    return tuple(d.path_counts(n))
 
 
 def _to_depth(d, n, vec, ideal):

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from ._report import (FAILS, HOLDS, UNKNOWN, DiagramError,
                       ValidationReport, worst)
-from .diagram import (DEFAULT_BUDGET, OTHER, _k_simple_check, _mat_vec,
-                      promote_stationary, telescope)
+from .diagram import DEFAULT_BUDGET, OTHER, _k_simple_check
 
 MIN = "min"
 MAX = "max"
@@ -120,14 +119,6 @@ def enumerate_paths(d, end, depth):
             return
         ranks[j] += 1
         refill(j)
-
-
-def lex_compare(p, q):
-    """-1, 0 or 1; only paths with a common range vertex are comparable."""
-    if p.depth != q.depth or p.end != q.end:
-        raise DiagramError("paths with different ranges are incomparable")
-    a, b = p.key(), q.key()
-    return (a > b) - (a < b)
 
 
 def pointer_map(d, n, kind):
@@ -350,49 +341,6 @@ def marker_level(d):
     return L, UNKNOWN, {"relative_L": L, "checked_to": scan_end}
 
 
-class Marker:
-    """Backward landing components of a V_o vertex: (m_minus, m_plus)."""
-
-    __slots__ = ("m_minus", "m_plus")
-
-    def __init__(self, m_minus, m_plus):
-        self.m_minus = m_minus
-        self.m_plus = m_plus
-
-    def __eq__(self, other):
-        return (isinstance(other, Marker)
-                and (self.m_minus, self.m_plus)
-                == (other.m_minus, other.m_plus))
-
-    def __hash__(self):
-        return hash((self.m_minus, self.m_plus))
-
-    def __repr__(self):
-        return "Marker(%d, %d)" % (self.m_minus, self.m_plus)
-
-    def __iter__(self):
-        return iter((self.m_minus, self.m_plus))
-
-
-def markers(d, n):
-    """Both markers for every V_o vertex at level n, keyed by vertex id.
-
-    Raises when any backward chain still sits in V_o at level 1: that is
-    the diagram's failure to resolve, not a value to guess.
-    """
-    mt = _marker_table(d)
-    out = {}
-    for v in d.others(n):
-        lo = mt.marker(MIN, n, v)
-        hi = mt.marker(MAX, n, v)
-        if lo is None or hi is None:
-            raise DiagramError(
-                "marker chain from %r at level %d lands outside the "
-                "components; the marker level sits deeper" % (v, n))
-        out[v] = Marker(lo, hi)
-    return out
-
-
 def _max_break_candidates(d, start_level, start_vertex):
     """Routing markers forced on the successor of a maximal edge.
 
@@ -566,96 +514,3 @@ def validate_ordered(d, depth_budget=DEFAULT_BUDGET):
     tv, tw = _target_compat(d, base_L)
     rep.add("order_compat_target", tv, tw)
     return rep
-
-
-def shorten_telescope(d, depth_budget=DEFAULT_BUDGET, min_fiber=False):
-    """Telescope so consecutive extreme edges chain only along the z-trunks.
-
-    Picks retained levels greedily: a gap is admissible once the composite
-    pointer image of the deeper level lands inside the trunk vertex set on
-    the shallower one, for both the min and max pointers.  With min_fiber
-    every retained fiber must also collect at least two edges.  Returns
-    (diagram, retained_levels); the input comes back unchanged (with None)
-    when single gaps already work everywhere.
-    """
-    cmin, cmax = _chains(d, MIN), _chains(d, MAX)
-    if FAILS in (cmin.verdict, cmax.verdict):
-        raise DiagramError("extreme chains break: %s"
-                           % (cmin.witness if cmin.verdict == FAILS
-                              else cmax.witness))
-
-    def trunk_set(kind, n):
-        chains = _chains(d, kind)
-        out = set()
-        for i in range(1, d.k + 1):
-            v = chains.vertex(i, n)
-            if v is None or not chains.certain(n):
-                return None
-            out.add(v)
-        return out
-
-    def image(kind, a, c):
-        s = set(d.vertices(c))
-        for m in range(c, a, -1):
-            pm = pointer_map(d, m, kind)
-            s = {pm[v] for v in s}
-        return s
-
-    def admissible(a, c):
-        tmin, tmax = trunk_set(MIN, a), trunk_set(MAX, a)
-        if tmin is None or tmax is None:
-            return False
-        return (image(MIN, a, c) <= tmin and image(MAX, a, c) <= tmax)
-
-    def counts_ok(a, c):
-        if not min_fiber:
-            return True
-        if a == 0:
-            vec = d.path_counts(c)
-            return all(x >= 2 for x in vec)
-        # row sums of the composite incidence: push the all-ones vector
-        vec = (1,) * len(d.vertices(a))
-        for m in range(a, c):
-            vec = _mat_vec(d.incidence(m), vec)
-        return all(x >= 2 for x in vec)
-
-    dim = len(d.vertices(d.depth))
-    gap_cap = max(depth_budget, dim + 2)
-
-    # single gaps fine everywhere: hand the diagram back untouched
-    tail = d.depth if d.stationary else d.depth - 1
-    if not min_fiber and all(admissible(n, n + 1) for n in range(1, tail + 1)):
-        return d, None
-
-    ms = [0]
-    a = 0
-    while True:
-        found = None
-        for c in range(a + 1, a + gap_cap + 1):
-            if not d.has_level(c):
-                break
-            if a == 0:
-                if counts_ok(0, c):
-                    found = c
-                    break
-            elif admissible(a, c) and counts_ok(a, c):
-                found = c
-                break
-        if found is None:
-            if len(ms) >= 3 and not d.stationary:
-                break
-            raise DiagramError("no admissible telescoping gap from level %d "
-                               "within budget" % a)
-        ms.append(found)
-        a = found
-        if d.stationary and len(ms) >= 4 and ms[-3] >= d.depth \
-                and ms[-1] - ms[-2] == ms[-2] - ms[-3]:
-            break
-        if not d.stationary and a >= d.depth:
-            break
-        if len(ms) > d.depth + 4 * gap_cap + 8:
-            raise DiagramError("telescoping chain failed to stabilize")
-    out = telescope(d, ms)
-    if d.stationary:
-        out = promote_stationary(out)
-    return out, ms

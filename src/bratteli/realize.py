@@ -6,18 +6,17 @@ the graph below, with arc multiplicities taken from the incidence matrix.
 The synthesizer lays every fiber out along such a walk: edges from the
 vertex's own two components anchor the extremes, edges from any other
 component slot in where the walk first reaches their symbol.  The result
-realizes exactly the prescribed vectors, and the compatibility checker
-reports whether a prescription is realizable at all.
+realizes exactly the prescribed vectors; a prescription it cannot
+realize is rejected with a DiagramError that names the reason.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 from ._graph import reach, undirected
-from ._report import FAILS, HOLDS, DiagramError, ValidationReport
-from .diagram import Diagram, Level, OTHER
+from ._report import DiagramError
+from .diagram import Diagram, Level, OTHER, _read_json
 from .transgraph import TransitionGraph, _unreached
 
 
@@ -106,8 +105,7 @@ def parse_dvectors(doc):
 
 
 def load_dvectors(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dvectors(json.load(fh))
+    return parse_dvectors(_read_json(path))
 
 
 class Multigraph:
@@ -440,77 +438,3 @@ def synthesize_order(d, dv):
         edges = [(s, r) for r in lev.ids for s in fibers[r]]
         new_levels.append(Level(lev.ids, lev.labels, edges))
     return Diagram(new_levels, d.k, d.stationary)
-
-
-def check_compatibility(d, graphs):
-    """Is the prescription realizable by some order?  Reported, not raised.
-
-    Every vertex above level 2 poses a walk problem on the graph below:
-    its surplus at each symbol must match its own vector, the touched
-    arcs must hang together with its endpoints, every component adjacent
-    from below must be visited, and every arc label must reach both of
-    its own symbols below.  Violations are collected per vertex.
-    """
-    rep = ValidationReport()
-    gmap = {}
-    for g in graphs:
-        if g.level in gmap:
-            raise DiagramError("two graphs claim level %d" % g.level)
-        gmap[g.level] = g
-    levels = sorted(gmap)
-    if any(b - a != 1 for a, b in zip(levels, levels[1:])):
-        raise DiagramError("graphs must cover consecutive levels")
-
-    pairs = [(gmap[a], gmap[a + 1]) for a in levels[:-1]]
-    if d.stationary:
-        pairs.append((gmap[levels[-1]], gmap[levels[-1]]))
-
-    surplus_bad, weave_bad, visit_bad = [], [], []
-    for below, here in pairs:
-        n = below.level
-        for w, lo, hi in here.edges:
-            try:
-                mg, _, anchors = _walk_problem(d, n + 1, w, below)
-            except DiagramError as exc:
-                weave_bad.append({"level": n + 1, "vertex": w,
-                                  "reason": str(exc)})
-                continue
-            want = [0] * d.k
-            if lo != hi:
-                want[lo - 1], want[hi - 1] = 1, -1
-            bad = [i for i in range(1, d.k + 1)
-                   if mg.deg(i) != want[i - 1]]
-            if bad:
-                surplus_bad.append(
-                    {"level": n + 1, "vertex": w, "symbols": bad,
-                     "surplus": [mg.deg(i) for i in bad]})
-                continue
-            walk = euler_walk(mg, lo, hi)
-            if isinstance(walk, NoWalk):
-                weave_bad.append({"level": n + 1, "vertex": w,
-                                  "reason": walk.reason})
-                continue
-            visited = set(mg.touched()) | {lo, hi}
-            missing = [i for i in range(1, d.k + 1)
-                       if anchors[i] and i not in visited]
-            if missing:
-                visit_bad.append({"level": n + 1, "vertex": w,
-                                  "unvisited": missing})
-    rep.add("degree_identity", FAILS if surplus_bad else HOLDS,
-            {"violations": surplus_bad} if surplus_bad else None)
-    rep.add("walk_feasible", FAILS if weave_bad else HOLDS,
-            {"violations": weave_bad} if weave_bad else None)
-    rep.add("component_visits", FAILS if visit_bad else HOLDS,
-            {"violations": visit_bad} if visit_bad else None)
-
-    anchor_bad = []
-    for n in levels:
-        for v, lo, hi in gmap[n].edges:
-            srcs = {d.label(n - 1, u) for u in d.fiber(n, v)}
-            for i in (lo, hi):
-                if i not in srcs:
-                    anchor_bad.append({"level": n, "vertex": v,
-                                       "component": i})
-    rep.add("component_anchors", FAILS if anchor_bad else HOLDS,
-            {"violations": anchor_bad} if anchor_bad else None)
-    return rep

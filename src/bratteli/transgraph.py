@@ -30,9 +30,6 @@ class TransitionGraph:
     def out_degree(self, i):
         return sum(1 for (_, s, _) in self.edges if s == i)
 
-    def in_degree(self, i):
-        return sum(1 for (_, _, t) in self.edges if t == i)
-
     def to_json(self):
         return {"k": self.k, "level": self.level,
                 "edges": [{"label": v, "source": s, "target": t}

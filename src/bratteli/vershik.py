@@ -108,11 +108,6 @@ def predecessor(d, p):
     return _move(d, p, MIN)
 
 
-def tower_heights(d, n):
-    """Floor counts of the level-n towers, aligned with the vertex listing."""
-    return d.path_counts(n)
-
-
 class KRPartition:
     """All towers of one level; floor j+1 is the successor of floor j."""
 
@@ -125,9 +120,6 @@ class KRPartition:
 
     def tower(self, v):
         return self.floors[v]
-
-    def heights(self):
-        return [len(self.floors[v]) for v in self.vertices]
 
 
 def towers(d, n):

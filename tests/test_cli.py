@@ -94,6 +94,24 @@ def test_malformed_json_exits_two(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+# a nesting too deep for the decoder, and bytes that are not UTF-8
+_UNREADABLE = {"deep": b"[" * 100000, "not-utf8": b"\xff\xfe"}
+
+
+@pytest.mark.parametrize("content", sorted(_UNREADABLE))
+@pytest.mark.parametrize("role", ["diagram", "d", "set"])
+def test_unreadable_json_file_exits_two(capsys, tmp_path, role, content):
+    f = tmp_path / "unreadable.json"
+    f.write_bytes(_UNREADABLE[content])
+    argv = {"diagram": ["validate", str(f)],
+            "d": ["synthesize", _fx("example-5-7-unordered.json"),
+                  "--d", str(f)],
+            "set": ["cover", _fx("odometer.json"), "--set", str(f)]}[role]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON")
+
+
 def test_structural_defect_exits_two(capsys, tmp_path):
     doc = dict(_UNKNOWN_DOC, k=0)
     f = tmp_path / "bad.json"
@@ -168,6 +186,27 @@ def test_negative_lookahead_is_a_usage_error(capsys, command):
     err = capsys.readouterr().err
     assert "--lookahead" in err and "at least 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "odometer.json", "--start", "v:1,1", "--steps", "-3"],
+    ["validate", "example-5-7.json", "--budget", "-5"],
+    ["kpush", "example-8-2.json", "--level", "1", "--vec", "1,1",
+     "--zero", "--budget", "-7"],
+], ids=["steps", "validate-budget", "kpush-budget"])
+def test_negative_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], _fx(argv[1])] + argv[2:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "at least 0" in err
+
+
+def test_negative_budget_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("BDK_BUDGET", "-3")
+    code, out, err = _run(capsys, "validate", _fx("example-5-7.json"))
+    assert code == 2 and out == ""
+    assert err == "error: BDK_BUDGET must be at least 0, got -3\n"
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

@@ -7,14 +7,14 @@ Core claims:
     - telescope composes incidences and keeps lex order on composite fibers
     - the V_o ideal of the diag(2,3) fixture is exactly diag(2,3)
     - validate_unordered sorts the fixtures into the right verdict matrix
-    - interpolate_strong is a no-op on already-strong diagrams and
-      preserves path counts otherwise
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import fixture_path
 from bratteli import (
     DiagramError,
     FAILS,
@@ -22,10 +22,9 @@ from bratteli import (
     UNKNOWN,
     Diagram,
     enumerate_paths,
-    ideal_subdiagram,
-    interpolate_strong,
+    other_block,
     parse_diagram,
-    promote_stationary,
+    parse_dvectors,
     telescope,
     validate_unordered,
 )
@@ -181,6 +180,52 @@ def test_parse_error_carries_location():
     assert "levels[0].edges[0]" in str(exc.value)
 
 
+_WORDS = ["kind", "bratteli", "k", "stationary", "levels", "vertices",
+          "edges", "id", "class", "minimal", "other", "source", "range",
+          "root", "d", "level", "values", "v1", "v2", "y1"]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_WORDS) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=3), inner,
+                      max_size=4),
+    max_leaves=12)
+
+
+def _graft(data, doc, value):
+    """doc with one drawn subtree replaced by value."""
+    if not isinstance(doc, (dict, list)) or not doc or data.draw(
+            st.integers(0, 4)) == 4:
+        return value
+    keys = sorted(doc) if isinstance(doc, dict) else range(len(doc))
+    key = data.draw(st.sampled_from(keys))
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[key] = _graft(data, doc[key], value)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_arbitrary_json_raises_only_diagram_error(ex57, data):
+    # arbitrary values, and valid documents with one subtree replaced
+    with open(fixture_path("example-5-7.d.json")) as fh:
+        dv_doc = json.load(fh)
+    bases = {"diagram": ex57.to_json(), "dvectors": dv_doc}
+    kind = data.draw(st.sampled_from(sorted(bases)))
+    value = data.draw(_JSON)
+    doc = value if data.draw(st.integers(0, 3)) == 3 else _graft(
+        data, bases[kind], value)
+    try:
+        if kind == "diagram":
+            parse_diagram(json.dumps(doc))
+        else:
+            parse_dvectors(doc)
+    except DiagramError:
+        pass
+
+
 # -- Stationary extension ----------------------------------------------------
 
 def test_stationary_levels_repeat_past_depth(ex57):
@@ -317,43 +362,21 @@ def test_telescope_identity_is_noop(ex82):
     assert t.stationary == ex82.stationary
 
 
-# -- Ideal extraction --------------------------------------------------------
+# -- The V_o ideal -----------------------------------------------------------
 
 def test_ideal_of_eight_two_is_diag_2_3(ex82):
-    part = ideal_subdiagram(ex82)
-    assert not part.trivial
-    sub = part.diagram
-    assert sub.vertices(1) == ("1", "3")
-    assert sub.incidence(1) == [[2, 0], [0, 3]]
-    assert part.synthetic_roots == ()
+    assert ex82.others(1) == ("1", "3")
+    assert other_block(ex82, 1) == [[2, 0], [0, 3]]
 
 
 def test_ideal_of_five_seven(ex57):
-    part = ideal_subdiagram(ex57)
-    assert part.diagram.incidence(1) == [[2, 1], [1, 2]]
+    assert other_block(ex57, 1) == [[2, 1], [1, 2]]
 
 
 def test_ideal_trivial_without_others(odometer):
-    part = ideal_subdiagram(odometer)
-    assert part.trivial
-    assert part.diagram is None
-    assert part.trivial_from == 1
-
-
-def test_ideal_synthetic_roots():
-    # w's whole level-2 fiber lies in the component, so the restriction
-    # re-roots it to keep the limit over the V_o incidences well-posed
-    lv1 = _lvl([_v("y", {"minimal": 1}), _v("w")],
-               [_e("root", "y"), _e("root", "w")])
-    lv2 = _lvl([_v("y", {"minimal": 1}), _v("w")],
-               [_e("y", "y"), _e("y", "y"), _e("w", "y"),
-                _e("y", "w"), _e("y", "w")])
-    d = _parse(_doc([lv1, lv2], stationary=True))
-    part = ideal_subdiagram(d)
-    assert not part.trivial
-    assert part.synthetic_roots == ((2, "w"),)
-    assert part.diagram.vertices(1) == ("w",)
-    assert part.diagram.fiber(2, "w") == ("root",)
+    for n in (1, 2, 5):
+        assert odometer.others(n) == ()
+        assert other_block(odometer, n) == []
 
 
 # -- Unordered validation matrix ---------------------------------------------
@@ -427,56 +450,6 @@ def test_single_level_connectivity_unverifiable():
     d = _parse(_doc([_SINGLE]))
     rep = validate_unordered(d)
     assert rep.verdict("k_simple") == UNKNOWN
-
-
-# -- Strong interpolation ----------------------------------------------------
-
-def test_interpolate_noop_when_already_strong(ex57):
-    assert interpolate_strong(ex57) is ex57
-
-
-def test_interpolate_requires_k_simple(two_odometers):
-    with pytest.raises(DiagramError, match="requires a k-simple"):
-        interpolate_strong(two_odometers)
-
-
-def test_interpolate_fills_missing_vo_edges():
-    # w2 sees only w1 below, never y: not strong as presented
-    lv1 = _lvl([_v("y", {"minimal": 1}), _v("w1"), _v("w2")],
-               [_e("root", "y"), _e("root", "w1"), _e("root", "w2")])
-    block = _lvl(
-        [_v("y", {"minimal": 1}), _v("w1"), _v("w2")],
-        [_e("y", "y"), _e("y", "y"),
-         _e("y", "w1"), _e("w1", "w1"), _e("w1", "w1"), _e("w2", "w1"),
-         _e("w1", "w2"), _e("w1", "w2")])
-    d = _parse(_doc([lv1, block, block, block, block], stationary=True))
-    rep = validate_unordered(d)
-    assert rep.verdict("k_simple") == HOLDS
-    out = interpolate_strong(d)
-    for n in range(1, out.depth):
-        mat = out.incidence(n)
-        for ri, v in enumerate(out.vertices(n + 1)):
-            if out.label(n + 1, v) == 0:
-                assert all(mat[ri]), "V_o row not full at level %d" % n
-
-
-def test_promote_stationary_on_repeated_block(ex57):
-    doc = ex57.to_json()
-    doc["levels"].append(doc["levels"][1])
-    doc["stationary"] = False
-    d = _parse(doc)
-    assert not d.stationary
-    p = promote_stationary(d)
-    assert p.stationary
-    assert p.incidence(7) == ex57.incidence(2)
-
-
-def test_promote_stationary_refuses_mismatched_tail(ex57):
-    # level 1 is root-sourced, so the two presented levels never match
-    doc = ex57.to_json()
-    doc["stationary"] = False
-    d = _parse(doc)
-    assert promote_stationary(d) is d
 
 
 # -- Serialization -----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Chain dynamics at fixed cylinder resolution.
 
 Core claims:
-    - metric halves with each agreeing level; path_text renders 1-based
+    - path_text renders 1-based ranks
     - cylinder graphs give every non-maximal window exactly one out-edge
       and never invent edges for unresolved windows
     - the three-tower fixtures are chain transitive at small depths; the
@@ -15,7 +15,6 @@ Core claims:
 """
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -34,7 +33,6 @@ from bratteli import (
     epsilon_chain,
     extreme_path,
     make_path,
-    metric,
     parse_diagram,
     path_text,
     pseudo_orbit,
@@ -42,24 +40,7 @@ from bratteli import (
 )
 
 
-# -- Metric and rendering ----------------------------------------------------
-
-def test_metric_values(odometer):
-    p = make_path(odometer, "v", (0, 0, 0))
-    q = make_path(odometer, "v", (0, 0, 1))
-    r = make_path(odometer, "v", (1, 0, 0))
-    assert metric(p, p) == 0
-    assert metric(p, q) == Fraction(1, 8)
-    assert metric(p, r) == Fraction(1, 2)
-    assert metric(q, r) == Fraction(1, 2)
-
-
-def test_metric_on_nested_truncations(odometer):
-    p = make_path(odometer, "v", (0, 0))
-    q = make_path(odometer, "v", (0, 0, 0))
-    # agreeing prefix of depth 2, first conceivable disagreement at 3
-    assert metric(p, q) == Fraction(1, 8)
-
+# -- Rendering ---------------------------------------------------------------
 
 def test_path_text_format(ex57):
     p = make_path(ex57, "v1", (0, 1))
@@ -73,7 +54,6 @@ def test_cylinder_graph_shape(ex57):
     g = cylinder_graph(ex57, 2)
     assert len(g) == 14
     assert g.depth == 2
-    assert g.scale == Fraction(1, 4)
     assert not g.flagged
     assert sorted(g.index[p] for p in g.nodes) == list(range(14))
     # towers appear in vertex listing order, floors bottom up

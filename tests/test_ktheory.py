@@ -2,7 +2,7 @@
 
 Core claims:
     - pushforward agrees with multiplying incidence (or V_o block) matrices
-    - order_unit is the tower-height vector
+    - the order unit is the tower-height vector
     - class_is_zero / eq / is_positive decide stationary cases exactly
     - the diag(2,3) ideal doubles and triples its generators, and (1,1)
       escapes every sup-norm box while the zero class sits in all of them
@@ -29,12 +29,10 @@ from bratteli import (
     eq,
     index_elements,
     is_positive,
-    order_unit,
     parse_diagram,
-    push_once,
     pushforward,
-    pushforwards,
     rational_rank_lower_bound,
+    towers,
     transition_graph,
 )
 
@@ -44,11 +42,6 @@ def _mat_vec(mat, vec):
 
 
 # -- Transport ---------------------------------------------------------------
-
-def test_push_once_is_incidence_action(ex57):
-    vec = (1, 2, 0, 5)
-    assert push_once(ex57, 2, vec) == _mat_vec(ex57.incidence(2), vec)
-
 
 def test_pushforward_composes(ex57):
     lvl, vec = pushforward(ex57, (1, (1, 0, 0, 0)), 4)
@@ -72,13 +65,14 @@ def test_pushforward_rejects_backward(ex57):
 
 def test_vector_length_checked(ex57):
     with pytest.raises(DiagramError, match="does not match"):
-        push_once(ex57, 1, (1, 2, 3))
+        pushforward(ex57, (1, (1, 2, 3)), 2)
     with pytest.raises(DiagramError, match="V_o"):
-        push_once(ex57, 1, (1, 2, 3), ideal=True)
+        pushforward(ex57, (1, (1, 2, 3)), 2, ideal=True)
 
 
 def test_pushforwards_lists_trajectory(ex82):
-    traj = pushforwards(ex82, 1, (1, 1), 3, ideal=True)
+    traj = [pushforward(ex82, (1, (1, 1)), n, ideal=True)[1]
+            for n in range(1, 5)]
     assert traj == [(1, 1), (2, 3), (4, 9), (8, 27)]
 
 
@@ -86,13 +80,17 @@ def test_pushforwards_stops_at_presentation_end(ex57):
     doc = ex57.to_json()
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
-    traj = pushforwards(d, 1, (1, 0, 0, 0), 9)
-    assert len(traj) == 2   # levels 1 and 2 only
+    assert pushforward(d, (1, (1, 0, 0, 0)), 2)[0] == 2
+    with pytest.raises(DiagramError, match="beyond non-stationary"):
+        pushforward(d, (1, (1, 0, 0, 0)), 9)
 
 
 def test_order_unit_is_tower_heights(ex57, ex82):
-    assert order_unit(ex57, 3) == tuple(ex57.path_counts(3))
-    assert order_unit(ex82, 1) == (1, 1, 1)
+    # the level-1 unit pushes forward to the level-n tower heights
+    for d, n in ((ex57, 3), (ex82, 4)):
+        part = towers(d, n)
+        heights = tuple(len(part.tower(v)) for v in part.vertices)
+        assert pushforward(d, (1, d.path_counts(1)), n) == (n, heights)
 
 
 # -- Class decisions ---------------------------------------------------------

@@ -2,7 +2,6 @@
 
 Core claims:
     - enumerate_paths yields ascending lex order; extreme_path picks the ends
-    - lex_compare orders by deepest differing edge (reversed rank tuple)
     - extreme_chains certifies one min and one max chain per component on
       the stationary fixtures and rejects pointer cycles and V_o landings
     - markers of the two-remainder fixture are (2,1) and (1,2), all levels
@@ -16,7 +15,6 @@ Core claims:
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bratteli import (
     DiagramError,
@@ -25,18 +23,15 @@ from bratteli import (
     MAX,
     MIN,
     UNKNOWN,
-    Marker,
     MarkerTable,
     enumerate_paths,
     extreme_chains,
     extreme_path,
-    lex_compare,
     make_path,
     marker_level,
-    markers,
     parse_diagram,
     pointer_map,
-    shorten_telescope,
+    transition_graph,
     validate_ordered,
 )
 
@@ -74,24 +69,6 @@ def test_make_path_rejects_bad_rank(ex57):
         make_path(ex57, "y1", (0, 5))
 
 
-def test_lex_compare_uses_deepest_edge_first(ex57):
-    p = make_path(ex57, "v1", (0, 1, 0))
-    q = make_path(ex57, "v1", (0, 0, 1))
-    # q differs at the deepest level, so q is larger despite smaller prefix
-    assert lex_compare(p, q) == -1
-    assert lex_compare(q, p) == 1
-    assert lex_compare(p, p) == 0
-
-
-def test_lex_compare_rejects_different_ranges(ex57):
-    p = make_path(ex57, "y1", (0, 0))
-    q = make_path(ex57, "y2", (0, 0))
-    with pytest.raises(DiagramError, match="incomparable"):
-        lex_compare(p, q)
-    with pytest.raises(DiagramError, match="incomparable"):
-        lex_compare(p, make_path(ex57, "y1", (0, 0, 0)))
-
-
 @pytest.mark.parametrize("fixture,end", [("ex57", "v1"), ("ex82", "3"),
                                          ("five_vertex", "5")])
 def test_enumerate_paths_is_sorted_and_complete(request, fixture, end):
@@ -118,29 +95,6 @@ def test_enumeration_runs_past_the_recursion_limit(request, fixture, end):
     first, second = next(walk), next(walk)
     assert first == extreme_path(d, end, 1500, MIN)
     assert second.key() > first.key()
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_lex_compare_matches_key_order(ex57, data):
-    depth = data.draw(st.integers(min_value=1, max_value=4), label="depth")
-    end = data.draw(st.sampled_from(ex57.vertices(depth)), label="end")
-
-    def draw_ranks(tag):
-        ranks, cur = [], end
-        for lvl in range(depth, 0, -1):
-            fib = ex57.fiber(lvl, cur)
-            r = data.draw(st.integers(0, len(fib) - 1),
-                          label="%s rank@%d" % (tag, lvl))
-            ranks.append(r)
-            cur = fib[r]
-        return tuple(reversed(ranks))
-
-    p = make_path(ex57, end, draw_ranks("p"))
-    q = make_path(ex57, end, draw_ranks("q"))
-    expect = (p.key() > q.key()) - (p.key() < q.key())
-    assert lex_compare(p, q) == expect
-    assert lex_compare(q, p) == -expect
 
 
 # -- Pointer maps and extreme chains -----------------------------------------
@@ -239,16 +193,11 @@ def test_nonstationary_chains_stay_unknown(ex57):
 # -- Markers -----------------------------------------------------------------
 
 def test_markers_of_two_remainder_fixture(ex57):
+    # a transition graph edge runs from m_minus to m_plus; levels past the
+    # presentation come from the marker table's period
     for n in (2, 3, 7, 30):
-        m = markers(ex57, n)
-        assert m == {"v1": Marker(2, 1), "v2": Marker(1, 2)}
-    assert tuple(markers(ex57, 2)["v1"]) == (2, 1)
-
-
-def test_markers_unresolved_at_level_one(ex57):
-    # both chains still sit inside V_o at the root level
-    with pytest.raises(DiagramError, match="marker chain"):
-        markers(ex57, 1)
+        assert transition_graph(ex57, n).edges == (("v1", 2, 1),
+                                                   ("v2", 1, 2))
 
 
 def test_marker_level_of_two_remainder_fixture(ex57):
@@ -386,38 +335,3 @@ def test_nonstationary_routing_is_relative(ex57):
     rep = validate_ordered(_parse(doc))
     assert rep.verdict("extreme_paths") == UNKNOWN
     assert rep.verdict("order_compat_source") == UNKNOWN
-
-
-# -- Telescope shortening ----------------------------------------------------
-
-def test_shorten_returns_input_when_single_gaps_work(ex57):
-    d, levels = shorten_telescope(ex57)
-    assert d is ex57
-    assert levels is None
-
-
-def test_shorten_min_fiber_doubles_edges(odometer):
-    d, levels = shorten_telescope(odometer, min_fiber=True)
-    if levels is None:
-        d2 = d
-    else:
-        assert levels[0] == 0
-        d2 = d
-    for n in range(1, d2.depth + 1):
-        for v in d2.vertices(n):
-            assert len(d2.fiber(n, v)) >= 2
-
-
-def test_shorten_rejects_broken_chains():
-    doc = {"kind": "bratteli", "k": 1, "stationary": True, "levels": [
-        {"vertices": [{"id": "y", "class": {"minimal": 1}},
-                      {"id": "w", "class": "other"}],
-         "edges": [{"source": "root", "range": "y"},
-                   {"source": "root", "range": "w"}]},
-        {"vertices": [{"id": "y", "class": {"minimal": 1}},
-                      {"id": "w", "class": "other"}],
-         "edges": [{"source": "y", "range": "y"}, {"source": "y", "range": "y"},
-                   {"source": "w", "range": "w"}, {"source": "y", "range": "w"}]},
-    ]}
-    with pytest.raises(DiagramError, match="extreme chains break"):
-        shorten_telescope(_parse(doc))

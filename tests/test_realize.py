@@ -9,7 +9,7 @@ Core claims:
     - synthesizing over the raw two-remainder diagram reproduces the
       ordered fixture edge for edge
     - synthesized orders validate and realize their own prescription
-    - check_compatibility reports infeasible prescriptions instead of
+    - synthesize_order rejects infeasible prescriptions instead of
       synthesizing garbage
 """
 
@@ -19,12 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bratteli import (
-    FAILS,
-    HOLDS,
     DiagramError,
     Multigraph,
     NoWalk,
-    check_compatibility,
     dvectors,
     euler_walk,
     graphs_from_dvectors,
@@ -290,27 +287,7 @@ def test_synthesis_rejects_mismatched_surplus(ex57_unordered):
         synthesize_order(ex57_unordered, dv)
 
 
-# -- Compatibility reports ---------------------------------------------------
-
-def test_compatibility_of_fixture_prescription(ex57_unordered, dv57):
-    graphs = graphs_from_dvectors(ex57_unordered, dv57)
-    rep = check_compatibility(ex57_unordered, graphs)
-    assert rep.ok()
-    for name in ("degree_identity", "walk_feasible", "component_visits",
-                 "component_anchors"):
-        assert rep.verdict(name) == HOLDS
-
-
-def test_compatibility_flags_surplus_mismatch(ex57_unordered):
-    dv = parse_dvectors({"d": [{"level": 2, "values":
-                                {"v1": [1, -1], "v2": [1, -1]}}],
-                         "stationary": True})
-    graphs = graphs_from_dvectors(ex57_unordered, dv)
-    rep = check_compatibility(ex57_unordered, graphs)
-    assert rep.verdict("degree_identity") == FAILS
-    bad = rep.witness("degree_identity")["violations"]
-    assert bad and bad[0]["level"] == 3
-
+# -- Incompatible prescriptions ----------------------------------------------
 
 def test_compatibility_flags_missing_anchor():
     # w's vector claims symbol 1 but its fiber has no component-1 edge
@@ -338,17 +315,7 @@ def test_compatibility_flags_missing_anchor():
     dv = parse_dvectors({"d": [{"level": 2, "values":
                                 {"u": [1, -1], "w": [1, -1]}}],
                          "stationary": True})
-    graphs = graphs_from_dvectors(d, dv)
-    rep = check_compatibility(d, graphs)
-    assert rep.verdict("component_anchors") == FAILS
-    bad = rep.witness("component_anchors")["violations"]
-    assert {"level": 2, "vertex": "w", "component": 1} in bad
-    assert not any(v["vertex"] == "u" for v in bad)
-
-
-def test_compatibility_rejects_level_gaps(ex57_unordered, dv57):
-    g2 = graphs_from_dvectors(ex57_unordered, dv57)[0]
-    from bratteli import TransitionGraph
-    g4 = TransitionGraph(2, 4, g2.edges)
-    with pytest.raises(DiagramError, match="consecutive"):
-        check_compatibility(ex57_unordered, [g2, g4])
+    # u comes first in the listing and is realizable, so w is what fails
+    with pytest.raises(DiagramError, match="'w' at level 2 has no edge "
+                       "from component 1"):
+        synthesize_order(d, dv)
