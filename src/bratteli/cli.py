@@ -256,9 +256,9 @@ def cmd_chain(args):
         if args.depth is None:
             raise DiagramError("chain needs either a start path or --depth")
         if args.format == "dot":
-            _emit(cylinder_graph(d, args.depth, args.lookahead).to_dot(), args)
+            _emit(cylinder_graph(d, args.depth).to_dot(), args)
             return 0
-        g = tower_graph(d, args.depth, args.lookahead)
+        g = tower_graph(d, args.depth)
         verdict, wit = chain_transitive(d, args.depth, graph=g)
         sat = saturation_sizes(d, args.depth, graph=g)
         doc = {"depth": args.depth, "nodes": g.size,
@@ -275,12 +275,12 @@ def cmd_chain(args):
         return _exit_for(verdict, args)
     p = _parse_path(d, args.start)
     if args.closed:
-        walk = pseudo_orbit(d, p, args.lookahead)
+        walk = pseudo_orbit(d, p)
     else:
         if args.end is None:
             raise DiagramError("chain needs an end path unless --closed")
         q = _parse_path(d, args.end)
-        walk = epsilon_chain(d, p, q, args.lookahead)
+        walk = epsilon_chain(d, p, q)
     if args.format == "text":
         _emit("\n".join(path_text(x) for x in walk) + "\n", args)
     else:
@@ -309,8 +309,7 @@ def _cover_set(d, args):
 def cmd_cover(args):
     d = load_diagram(args.diagram)
     cyls = _cover_set(d, args)
-    res = cover_steps(d, cyls, direction=args.direction,
-                      lookahead=args.lookahead)
+    res = cover_steps(d, cyls, direction=args.direction)
     if isinstance(res, Diverges):
         doc = {"diverges": {"steps": res.steps,
                             "uncovered": list(res.uncovered)}}
@@ -466,7 +465,6 @@ def _build_parser():
                     help="shortest closed chain through the start path")
     sp.add_argument("--depth", type=int, default=None,
                     help="cylinder depth for the transitivity report")
-    sp.add_argument("--lookahead", type=_count, default=2)
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_chain)
 
@@ -480,7 +478,6 @@ def _build_parser():
                     help="cylinder depth for the default set")
     sp.add_argument("--direction", choices=("forward", "backward"),
                     default="forward")
-    sp.add_argument("--lookahead", type=_count, default=2)
     sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("kpush", help="transport a K-theory vector and "

@@ -14,9 +14,13 @@ them lands on ground floors.  Verdicts, node counts and saturation
 sizes are read off the quotient; cylinders are listed only where the
 output names them.
 
-Edges leaving a cylinder whose deeper continuations the lookahead could
-not resolve are withheld rather than guessed; such nodes are flagged and
-verdicts that would rely on them degrade to Unknown.
+A tower top's step is exact: its maximal continuations are walked
+forward, keyed on each level's representative in the stationary tail,
+until every one breaks or stays maximal forever.  Where that cannot
+settle a top (the extreme chains fail, or a continuation off the trunks
+reaches the end of a finite presentation) its edges are withheld rather
+than guessed; such nodes are flagged and verdicts that would rely on
+them degrade to Unknown.
 """
 
 from __future__ import annotations
@@ -49,14 +53,12 @@ class TowerGraph:
     its out-edges are withheld.
     """
 
-    __slots__ = ("diagram", "depth", "lookahead", "vertices", "heights",
-                 "out", "flagged", "size")
+    __slots__ = ("diagram", "depth", "vertices", "heights", "out",
+                 "flagged", "size")
 
-    def __init__(self, diagram, depth, lookahead, vertices, heights, out,
-                 flagged):
+    def __init__(self, diagram, depth, vertices, heights, out, flagged):
         self.diagram = diagram
         self.depth = depth
-        self.lookahead = lookahead
         self.vertices = tuple(vertices)
         self.heights = tuple(heights)
         self.out = tuple(tuple(sorted(t)) for t in out)
@@ -87,7 +89,7 @@ class TowerGraph:
             out.append(tuple(ground[u] for u in outs))
             if t in self.flagged:
                 flagged.append(top)
-        return CylinderGraph(self.depth, self.lookahead, nodes, out, flagged)
+        return CylinderGraph(self.depth, nodes, out, flagged)
 
 
 class CylinderGraph:
@@ -96,7 +98,7 @@ class CylinderGraph:
     Nodes are all depth-N paths, towers in vertex listing order and
     floors bottom up.  A node whose deepest edge is not fiber-maximal
     has exactly one out-edge, to its successor; tower tops get the
-    forward windows the lookahead certifies.  Flagged node indices mark
+    forward windows of their exact step.  Flagged node indices mark
     cylinders with unresolved continuations: their out-edges are
     withheld entirely, so the graph under-approximates the dynamics
     there and never invents a step.
@@ -105,11 +107,10 @@ class CylinderGraph:
     height 1, so hand-built relations go through the same routine.
     """
 
-    __slots__ = ("depth", "lookahead", "nodes", "index", "out", "flagged")
+    __slots__ = ("depth", "nodes", "index", "out", "flagged")
 
-    def __init__(self, depth, lookahead, nodes, out, flagged):
+    def __init__(self, depth, nodes, out, flagged):
         self.depth = depth
-        self.lookahead = lookahead
         self.nodes = tuple(nodes)
         self.index = {p: i for i, p in enumerate(self.nodes)}
         self.out = tuple(tuple(sorted(t)) for t in out)
@@ -145,13 +146,13 @@ class CylinderGraph:
         return "\n".join(lines) + "\n"
 
 
-def tower_graph(d, depth, lookahead=2):
+def tower_graph(d, depth):
     """Build the step relation between the level-N towers.
 
     One ``vershik_step`` per tower top.  Every top keeps at least one
     target unless flagged, and when nothing is flagged every ground
     floor must be some top's target; a miss then means the order itself
-    is defective, not the resolution.
+    is defective.
     """
     if depth < 1:
         raise DiagramError("cylinder resolution needs depth at least 1")
@@ -161,7 +162,7 @@ def tower_graph(d, depth, lookahead=2):
     flagged = []
     for t, v in enumerate(vertices):
         top = extreme_path(d, v, depth, MAX)
-        img = vershik_step(d, top, lookahead)
+        img = vershik_step(d, top)
         if img.unresolved:
             flagged.append(t)
             out.append(())
@@ -180,14 +181,14 @@ def tower_graph(d, depth, lookahead=2):
                 ground = extreme_path(d, v, depth, MIN)
                 raise DiagramError("cylinder %s has no predecessor"
                                    % path_text(ground))
-    return TowerGraph(d, depth, lookahead, vertices, d.path_counts(depth),
-                      out, flagged)
+    return TowerGraph(d, depth, vertices, d.path_counts(depth), out,
+                      flagged)
 
 
-def cylinder_graph(d, depth, lookahead=2):
+def cylinder_graph(d, depth):
     """The step relation between depth-N cylinders, expanded from the
     tower graph."""
-    return tower_graph(d, depth, lookahead).expand()
+    return tower_graph(d, depth).expand()
 
 
 def _decide(g):
@@ -230,7 +231,7 @@ def _decide(g):
     return verdict, cut
 
 
-def _analyze(g):
+def _analyze(d, g):
     """Chain transitivity verdict and witness; only a Fails cut is
     listed as paths, towers in listing order and floors bottom up."""
     verdict, cut = _decide(g)
@@ -245,18 +246,18 @@ def _analyze(g):
                          "cut": tuple(path_text(p) for p in paths)}
     if verdict == UNKNOWN:
         return verdict, {"unresolved": len(g.flagged),
-                         "lookahead": g.lookahead}
+                         "checked_to": d.depth}
     return verdict, {"nodes": g.size, "resolution": g.depth}
 
 
-def chain_transitive(d, depth, lookahead=2, graph=None):
+def chain_transitive(d, depth, graph=None):
     """Whether every cylinder chains to every other at resolution 2^-N.
 
     Fails comes with a proper nonempty set of cylinders that no chain
     escapes; Holds means the step relation is strongly connected.
     """
-    g = graph if graph is not None else tower_graph(d, depth, lookahead)
-    return _analyze(g)
+    g = graph if graph is not None else tower_graph(d, depth)
+    return _analyze(d, g)
 
 
 def _locate(g, p, name):
@@ -269,7 +270,7 @@ def _locate(g, p, name):
         raise DiagramError("%s is not a path of this diagram" % (name,))
 
 
-def epsilon_chain(d, p, q, lookahead=2, graph=None):
+def epsilon_chain(d, p, q, graph=None):
     """Shortest chain of cylinders from p to q, both of one depth.
 
     Consecutive entries x, y satisfy d(step(x), y) < 2^-N pointwise, so
@@ -278,15 +279,15 @@ def epsilon_chain(d, p, q, lookahead=2, graph=None):
     """
     if p.depth != q.depth:
         raise DiagramError("chain endpoints must share a depth")
-    g = graph if graph is not None else cylinder_graph(d, p.depth, lookahead)
+    g = graph if graph is not None else cylinder_graph(d, p.depth)
     src = _locate(g, p, "chain source")
     dst = _locate(g, q, "chain target")
     chain = shortest_path(g.out, (src,), dst)
     if chain is not None:
         return [g.nodes[v] for v in chain]
     extra = ("" if not g.flagged
-             else " (%d cylinders unresolved at lookahead %d)"
-             % (len(g.flagged), g.lookahead))
+             else " (%d cylinders unresolved, presentation checked to "
+             "level %d)" % (len(g.flagged), d.depth))
     raise DiagramError("no chain from %s to %s at resolution 2^-%d%s"
                        % (path_text(p), path_text(q), g.depth, extra))
 
@@ -373,21 +374,21 @@ def _saturation(d, g):
     return sat
 
 
-def saturation_sizes(d, depth, lookahead=2, graph=None):
+def saturation_sizes(d, depth, graph=None):
     """How many cylinders chain into each minimal class, without
     listing them: {i: count}."""
-    g = graph if graph is not None else tower_graph(d, depth, lookahead)
+    g = graph if graph is not None else tower_graph(d, depth)
     return {i: sum(c) for i, c in _saturation(d, g).items()}
 
 
-def saturation_sets(d, depth, lookahead=2, graph=None):
+def saturation_sets(d, depth, graph=None):
     """Cylinders from which each minimal class is chain-reachable.
 
     Returns {i: frozenset of paths that reach some cylinder inside
     component i}.  The reaching floors of a tower are its lowest ones,
     so each set is listed from the per-tower counts.
     """
-    g = graph if graph is not None else tower_graph(d, depth, lookahead)
+    g = graph if graph is not None else tower_graph(d, depth)
     return {i: frozenset(p for t, c in enumerate(counts) if c
                          for _, p in zip(range(c), g.floors(t)))
             for i, counts in _saturation(d, g).items()}
@@ -407,7 +408,7 @@ class Diverges:
                                                      len(self.uncovered))
 
 
-def cover_steps(d, cylinders, direction="forward", lookahead=2, graph=None):
+def cover_steps(d, cylinders, direction="forward", graph=None):
     """Least K with the first K step images of the given cylinders
     covering everything, or Diverges when the sweep stalls.
 
@@ -423,11 +424,11 @@ def cover_steps(d, cylinders, direction="forward", lookahead=2, graph=None):
         raise DiagramError("covering set mixes depths")
     if direction not in ("forward", "backward"):
         raise DiagramError("direction must be forward or backward")
-    tg = graph if graph is not None else tower_graph(d, depth, lookahead)
+    tg = graph if graph is not None else tower_graph(d, depth)
     if tg.flagged:
-        raise DiagramError("%d cylinders unresolved at lookahead %d; sweep "
-                           "counts would be unreliable"
-                           % (len(tg.flagged), tg.lookahead))
+        raise DiagramError("%d cylinders unresolved (presentation checked "
+                           "to level %d); sweep counts would be unreliable"
+                           % (len(tg.flagged), d.depth))
     g = tg.expand() if isinstance(tg, TowerGraph) else tg
     start = {_locate(g, p, "covering cylinder") for p in cyls}
     met = {_inside(d, g.nodes[v]) for v in start}
@@ -450,13 +451,13 @@ def cover_steps(d, cylinders, direction="forward", lookahead=2, graph=None):
     return steps
 
 
-def pseudo_orbit(d, p, lookahead=2, graph=None):
+def pseudo_orbit(d, p, graph=None):
     """Shortest closed chain of cylinders through p.
 
     Only meaningful on chain transitive systems, so anything less than
     a Holds verdict at this resolution is rejected.
     """
-    tg = graph if graph is not None else tower_graph(d, p.depth, lookahead)
+    tg = graph if graph is not None else tower_graph(d, p.depth)
     verdict, _ = _decide(tg)
     if verdict != HOLDS:
         raise DiagramError("pseudo-orbits need chain transitivity at this "

@@ -239,14 +239,19 @@ class MarkerTable:
         # the level-1 labels, not d: the table lives in d's memo, and a
         # reference back would keep every diagram waiting for the cyclic gc
         self.labels1 = d.level(1).labels
-        ids1 = d.vertices(1)
-        self.min_land = [None, {v: v for v in ids1}]
-        self.max_land = [None, {v: v for v in ids1}]
-        self.t0 = d.depth
+        self._fill(d, 1)
+
+    def _fill(self, d, base):
+        # landings on level ``base``: the identity there, then one pointer
+        # step per level above it
+        ids = d.vertices(base)
+        self.min_land = [None] * base + [{v: v for v in ids}]
+        self.max_land = [None] * base + [{v: v for v in ids}]
+        self.t0 = max(d.depth, base)
         self.period = 0
-        limit = d.depth + _STATE_CAP if d.stationary else d.depth
+        limit = self.t0 + _STATE_CAP if d.stationary else d.depth
         seen = {}
-        n = 2
+        n = base + 1
         while n <= limit:
             for kind, tab in ((MIN, self.min_land), (MAX, self.max_land)):
                 pm = pointer_map(d, n, kind)
@@ -287,6 +292,26 @@ class MarkerTable:
             return None
         lab = self.labels1[land]
         return None if lab == OTHER else lab
+
+
+class _Landings(MarkerTable):
+    """The marker table's landings on level n instead of level 1.
+
+    Its representatives tell apart the levels whose landings on level n
+    differ, which is what the forward walk of a step image at depth n
+    keys its states on.
+    """
+
+    def __init__(self, d, n):
+        self._fill(d, n)
+
+
+def _landings(d, n):
+    """The diagram's landing table on level n, built on first use."""
+    table = d._memo.get(("landings", n))
+    if table is None:
+        table = d._memo[("landings", n)] = _Landings(d, n)
+    return table
 
 
 def _marker_table(d):
@@ -341,52 +366,54 @@ def marker_level(d):
     return L, UNKNOWN, {"relative_L": L, "checked_to": scan_end}
 
 
-def _max_break_candidates(d, start_level, start_vertex):
-    """Routing markers forced on the successor of a maximal edge.
+def _breaks(d, level, vertex, rep, direction):
+    """Where the continuations of ``vertex`` on ``level`` leave the fiber end.
 
-    The maximal edge ends at start_vertex on start_level.  Walk forward
-    along fiber-maximal continuations; every non-maximal edge met on the
-    way donates the min-marker of its fiber successor's source, which is
-    where the eventual increment refills from.  Returns (candidates,
-    unresolved, looped): unresolved means a route left the presentation,
-    looped means a route chains maximal edges forever and never breaks.
+    Walks forward along the edges at the ``direction`` end of their
+    fibers (the last edge for MAX, the first for MIN).  An edge met that
+    is not at that end breaks its continuation: the move takes its
+    neighbour in the fiber, and that edge's source, the donor, is where
+    the refill starts.  Returns (breaks, looped, ended):
+
+    - breaks: the (level, donor) pairs, the donor lying on that level;
+    - looped: a walk state came round again;
+    - ended: the (level, vertex) pairs where an unbroken continuation
+      reached the presentation's last level, or a level ``rep`` cannot
+      place.
+
+    A state is (rep(m), vertex).  Levels with one representative have
+    the same landings and the same levels above them, so each state is
+    walked once and the walk is finite.  When ``rep`` also tells apart
+    the levels whose landings on ``level`` differ, a state comes round
+    again exactly when some continuation stays at the fiber end forever.
     """
-    mt = _marker_table(d)
-    cands = set()
-    unresolved = False
+    step = 1 if direction == MAX else -1
+    breaks, ended = set(), set()
     looped = False
     seen = set()
-    stack = [(start_level, start_vertex)]
-    while stack:
-        m, w = stack.pop()
-        r = mt.rep(m)
-        key = (r if r is not None else m, w)
-        if key in seen:
+    todo = [(level, vertex)]
+    while todo:
+        m, u = todo.pop()
+        r = rep(m)
+        if r is None or not d.has_level(m + 1):
+            ended.add((m, u))
+            continue
+        if (r, u) in seen:
             looped = True
             continue
-        seen.add(key)
-        if not d.has_level(m + 1):
-            unresolved = True
-            continue
-        if len(seen) > 10000:
-            unresolved = True
-            break
+        seen.add((r, u))
         lev = d.level(m + 1)
         for t in lev.ids:
             fib = lev.fibers[t]
-            last = len(fib) - 1
+            end = len(fib) - 1 if direction == MAX else 0
             for j, s in enumerate(fib):
-                if s != w:
+                if s != u:
                     continue
-                if j == last:
-                    stack.append((m + 1, t))
+                if j == end:
+                    todo.append((m + 1, t))
                 else:
-                    mk = mt.marker(MIN, m, fib[j + 1])
-                    if mk is None:
-                        unresolved = True
-                    else:
-                        cands.add(mk)
-    return cands, unresolved, looped
+                    breaks.add((m, fib[j + step]))
+    return breaks, looped, ended
 
 
 def _aggregate(d, base_L, violations, unknowns):
@@ -440,15 +467,17 @@ def _source_compat(d, base_L):
                                                "range": t, "rank": j,
                                                "expected": want, "got": got})
                     else:
-                        cands, unres, _ = _max_break_candidates(d, n + 1, t)
-                        bad = sorted(c for c in cands if c != want)
+                        # a maximal edge: the increment comes further up
+                        breaks, _, ended = _breaks(d, n + 1, t, mt.rep, MAX)
+                        got = {mt.marker(MIN, m, s) for m, s in breaks}
+                        bad = sorted(c for c in got if c not in (None, want))
                         if bad:
                             violations.append({"level": n, "vertex": v,
                                                "range": t, "rank": j,
                                                "expected": want,
                                                "got": bad[0],
                                                "via": "maximal edge"})
-                        if unres:
+                        if ended or None in got:
                             unknowns.append({"level": n, "vertex": v,
                                              "range": t, "rank": j,
                                              "why": "break beyond presentation"})

@@ -148,7 +148,7 @@ def lift_edge_to_path(d, n, w):
     fiber = d.fiber(n + 1, w)
     labels = [u for u in fiber if d.label(n, u) == OTHER]
     marks = {}
-    for u in set(labels):
+    for u in dict.fromkeys(labels):
         mm = mt.marker(MIN, n, u)
         mp = mt.marker(MAX, n, u)
         if mm is None or mp is None:

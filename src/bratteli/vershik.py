@@ -10,7 +10,8 @@ extensions land after the increment happens further up.
 
 from __future__ import annotations
 
-from .order import MAX, MIN, Path, _chains, enumerate_paths, extreme_path
+from .order import (MAX, MIN, Path, _breaks, _chains, _landings,
+                    enumerate_paths, extreme_path)
 
 
 class Maximal:
@@ -162,98 +163,55 @@ class StepImage:
         self.unresolved = unresolved
 
 
-def _step_image(d, p, lookahead, direction):
-    n = p.depth
-    kind = MIN if direction == MAX else MAX
-    ahead, wrap = _chains(d, direction), _chains(d, kind)
+def _step_image(d, p, direction):
     move = successor if direction == MAX else predecessor
     nxt = move(d, p)
     if isinstance(nxt, Path):
         return StepImage((nxt,), False)
-
-    targets = set()
+    n = p.depth
+    kind = MIN if direction == MAX else MAX
+    lands = _landings(d, n)
+    breaks, looped, ended = _breaks(d, n, p.end, lands.rep, direction)
+    ground = {lands.landing(kind, m, s) for m, s in breaks}
+    # an unbroken continuation on the trunk of z_{i,max} is that chain,
+    # which steps to z_{i,min}; a loop is a continuation maximal forever,
+    # so p followed by it is z_{i,max} exactly when p.end is on its trunk
+    ahead, wrap = _chains(d, direction), _chains(d, kind)
     unresolved = False
-
-    def window(w, m):
-        cur = w
-        for lvl in range(m, n, -1):
-            fib = d.fiber(lvl, cur)
-            cur = fib[0] if kind == MIN else fib[-1]
-        return extreme_path(d, cur, n, kind)
-
-    def collect_breaks(m, u):
-        # occurrences of u in level-(m+1) fibers that still have room to
-        # move donate the window their move refills; stuck ones walk on
-        go_on = []
-        lev = d.level(m + 1)
-        for t in lev.ids:
-            fib = lev.fibers[t]
-            stuck = len(fib) - 1 if direction == MAX else 0
-            for j, s in enumerate(fib):
-                if s != u:
-                    continue
-                if j == stuck:
-                    go_on.append(t)
-                else:
-                    step = j + 1 if direction == MAX else j - 1
-                    targets.add(window(fib[step], m))
-        return go_on
-
-    def on_trunk(m, u):
-        if not ahead.certain(m):
-            return None
-        for i in range(1, d.k + 1):
-            if ahead.vertex(i, m) == u:
-                return i
-        return 0
-
-    # walks along stuck continuations, one (level, vertex) per entry; a
-    # visit only adds targets or sets the flag, so each is made once
-    todo = [(n, p.end)]
-    seen = set(todo)
-    while todo:
-        m, u = todo.pop()
-        if m == n + lookahead:
-            i = on_trunk(m, u)
-            if i:
-                z = wrap.vertex(i, n) if wrap.certain(n) else None
-                if z is None:
-                    unresolved = True
-                else:
-                    targets.add(extreme_path(d, z, n, kind))
-            elif i is None or not d.has_level(m + 1):
-                unresolved = True
-            elif collect_breaks(m, u):
-                # off the trunk: one extra level for the walk to break
-                unresolved = True
-            continue
-        if not d.has_level(m + 1):
+    for m, u in ended | ({(n, p.end)} if looped else set()):
+        z = None
+        if ahead.certain(m) and wrap.certain(n):
+            for i in range(1, d.k + 1):
+                if ahead.vertex(i, m) == u:
+                    z = wrap.vertex(i, n)
+        if z is None:
             unresolved = True
-            continue
-        for t in collect_breaks(m, u):
-            if (m + 1, t) not in seen:
-                seen.add((m + 1, t))
-                todo.append((m + 1, t))
-    return StepImage(targets, unresolved)
+        else:
+            ground.add(z)
+    return StepImage((extreme_path(d, w, n, kind) for w in ground),
+                     unresolved)
 
 
-def vershik_step(d, p, lookahead=2):
+def vershik_step(d, p):
     """Depth-N windows reachable one step forward from extensions of p.
 
     Non-maximal paths step to their successor.  For a maximal path the
     increment happens at some deeper level: walk forward along
-    fiber-maximal continuations, and every non-maximal edge met on the way
-    contributes the window its increment refills to.  Walks that reach the
-    lookahead depth on a z_{i,max} trunk vertex wrap to the z_{i,min}
-    window; walks that reach it off-trunk get one extra level to break,
-    and the image is flagged unresolved if a continuation survives that.
+    fiber-maximal continuations, and every non-maximal edge met on the
+    way contributes the minimal window its increment refills to.  The
+    walk is keyed on the level's representative in the landing table, so
+    it is finite and exact.  A continuation that stays maximal forever is
+    z_{i,max} and wraps to the z_{i,min} window; on a stationary diagram
+    whose extreme chains fail, and at the last level of a finite
+    presentation for anything off a trunk, the image is flagged
+    unresolved.
     """
-    return _step_image(d, p, lookahead, MAX)
+    return _step_image(d, p, MAX)
 
 
-def inverse_step(d, p, lookahead=2):
+def inverse_step(d, p):
     """Mirror of vershik_step: one step backward, min and max swapped."""
-    return _step_image(d, p, lookahead, MIN)
+    return _step_image(d, p, MIN)
 
 
 def orbit(d, p, steps, reverse=False):

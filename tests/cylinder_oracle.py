@@ -1,19 +1,23 @@
 """Reference step relation built one cylinder at a time.
 
-The library decides chain transitivity on the tower quotient and lists
-cylinders only for output.  This module keeps the direct construction
-it replaced, as the oracle the quotient is tested against: every
-depth-N path enumerated recursively, one ``vershik_step`` per path,
-Kosaraju over all cylinders, and saturation by reverse reachability
-from the cylinders inside each class.
+The library decides chain transitivity on the tower quotient and walks
+the maximal continuations of each tower top forward.  This module keeps
+a construction that shares neither, as the oracle the library is tested
+against: the successor read off the lex list of deeper paths, one node
+per cylinder, Kosaraju over all cylinders, and saturation by reverse
+reachability from the cylinders inside each class.  It takes nothing
+from ``bratteli.vershik``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from bratteli import (FAILS, HOLDS, UNKNOWN, CylinderGraph, DiagramError,
-                      Path, path_text, vershik_step)
+from bratteli import (FAILS, HOLDS, MAX, MIN, UNKNOWN, CylinderGraph,
+                      DiagramError, Path, extreme_chains, path_text)
+
+# levels past the cylinder depth whose lex order a stationary step reads
+DEEPER = 5
 
 
 def recursive_paths(d, end, depth):
@@ -25,25 +29,84 @@ def recursive_paths(d, end, depth):
             for p in recursive_paths(d, u, depth - 1)]
 
 
-def node_graph(d, depth, lookahead=2):
-    """The cylinder graph with a step computed for every node."""
+def segments(d, end, lo, hi):
+    """Paths from level lo up to ``end`` on level hi in lex order, deepest
+    edge chosen first, as (start vertex, ranks) pairs."""
+    if hi == lo:
+        return [(end, ())]
+    return [(s, ranks + (rank,))
+            for rank, u in enumerate(d.fiber(hi, end))
+            for s, ranks in segments(d, u, lo, hi - 1)]
+
+
+def brute_steps(d, depth):
+    """Successor edges between depth-N cylinders, by brute force.
+
+    Every depth-D path, D = N + DEEPER on a stationary diagram and the
+    last presented level otherwise, steps to the next path in the lex
+    list of the paths into its end, and both are truncated to depth N.
+    A path last in its list has no successor at depth D.  It wraps to
+    the z_{i,min} ground floor when it truncates z_{i,max}: on a
+    stationary diagram when its depth-N truncation is that chain's
+    (the Vershik map sends z_{i,max} to z_{i,min}), on a finite
+    presentation when it ends on that chain's vertex of the last level.
+    Otherwise its truncation is open.  Returns (nodes, succ, open tops).
+
+    The deeper edges are the more significant, so the lex list of the
+    paths into v is one block per segment from level N up to v, segments
+    in lex order, and each block is the tower of the segment's start
+    with that segment appended (``tests/test_quotient.py`` checks this
+    against ``recursive_paths``).  The next path after floor j of a block
+    is floor j+1; after the top, the ground floor of the next block.
+    """
+    top = depth + DEEPER if d.stationary else d.depth
+    towers = {v: recursive_paths(d, v, depth) for v in d.vertices(depth)}
+    nodes = [p for v in d.vertices(depth) for p in towers[v]]
+    succ = {p: set() for p in nodes}
+    zmax, zmin = extreme_chains(d, MAX), extreme_chains(d, MIN)
+    open_tops, climbed = set(), set()
+    for v in d.vertices(top):
+        starts = [s for s, _ in segments(d, v, depth, top)]
+        for s, after in zip(starts, starts[1:] + [None]):
+            floors = towers[s]
+            if s not in climbed:
+                # every block of one tower climbs alike
+                climbed.add(s)
+                for lo, hi in zip(floors, floors[1:]):
+                    succ[lo].add(hi)
+            if after is not None:
+                succ[floors[-1]].add(towers[after][0])
+                continue
+            at, w = (depth, floors[-1].end) if d.stationary else (top, v)
+            ground = None
+            if zmax.certain(at) and zmin.certain(depth):
+                for i in range(1, d.k + 1):
+                    if zmax.vertex(i, at) == w:
+                        ground = zmin.vertex(i, depth)
+            if ground is None:
+                open_tops.add(floors[-1])
+            else:
+                succ[floors[-1]].add(towers[ground][0])
+    return nodes, succ, open_tops
+
+
+def node_graph(d, depth):
+    """The cylinder graph of the brute-force relation; open tops are
+    flagged and keep no edges."""
     if depth < 1:
         raise DiagramError("cylinder resolution needs depth at least 1")
-    nodes = []
-    for v in d.vertices(depth):
-        nodes.extend(recursive_paths(d, v, depth))
+    nodes, succ, open_tops = brute_steps(d, depth)
     index = {p: i for i, p in enumerate(nodes)}
     out = []
     flagged = set()
     for i, p in enumerate(nodes):
-        img = vershik_step(d, p, lookahead)
-        if img.unresolved:
+        if p in open_tops:
             flagged.add(i)
             out.append(())
             continue
-        if not img.targets:
+        if not succ[p]:
             raise DiagramError("no forward step out of %s" % path_text(p))
-        out.append(tuple(index[q] for q in img.targets))
+        out.append(tuple(index[q] for q in succ[p]))
     if not flagged:
         indeg = [0] * len(nodes)
         for outs in out:
@@ -53,7 +116,7 @@ def node_graph(d, depth, lookahead=2):
             if deg == 0:
                 raise DiagramError("cylinder %s has no predecessor"
                                    % path_text(nodes[i]))
-    return CylinderGraph(depth, lookahead, nodes, out, flagged)
+    return CylinderGraph(depth, nodes, out, flagged)
 
 
 def _reach(adj, starts):
@@ -110,7 +173,7 @@ def _sccs(adj):
     return comps, comp
 
 
-def node_verdict(g):
+def node_verdict(d, g):
     """Chain transitivity of a cylinder graph from its closed classes."""
     n = len(g.nodes)
     comps, comp = _sccs(g.out)
@@ -127,7 +190,7 @@ def node_verdict(g):
                        "cut": tuple(path_text(g.nodes[v]) for v in cut)}
     if g.flagged:
         return UNKNOWN, {"unresolved": len(g.flagged),
-                         "lookahead": g.lookahead}
+                         "checked_to": d.depth}
     return HOLDS, {"nodes": n, "resolution": g.depth}
 
 

@@ -446,6 +446,81 @@ def test_budget_exhaustion_reports_unknown():
     assert validate_unordered(s).verdict("non_elementary") == FAILS
 
 
+def _identity_then_full(a_long, total):
+    """k=1 over a, b: each keeps to itself up to level ``a_long``, then
+    every level joins both; not stationary, ``total`` levels."""
+    cls = {"minimal": 1}
+    verts = [_v("a", cls), _v("b", cls)]
+    ident = _lvl(verts, [_e("a", "a"), _e("b", "b")])
+    full = _lvl(verts, [_e("a", "a"), _e("b", "a"), _e("a", "b"),
+                        _e("b", "b")])
+    first = _lvl(verts, [_e("root", "a"), _e("root", "b")])
+    return [first] + [ident] * (a_long - 1) + [full] * (total - a_long)
+
+
+def test_connectivity_search_stops_at_the_budget_floor():
+    """Below 64 levels the budget is raised to 64: a component that joins
+    up only at level 70 leaves the starts 1-5 Unknown at 64 steps, and a
+    budget past the gap decides them."""
+    d = _parse(_doc(_identity_then_full(69, 72)))
+    rep = validate_unordered(d)
+    assert rep.verdict("k_simple") == UNKNOWN
+    assert rep.witness("k_simple") == [
+        {"component": 1, "level": n, "stalled_at": n + 64}
+        for n in range(1, 6)]
+    again = validate_unordered(d, depth_budget=100)
+    assert again.verdict("k_simple") == HOLDS
+    assert again.witness("k_simple") == {"checked_to": 72}
+
+
+def test_connectivity_search_stops_at_the_iteration_cap(monkeypatch):
+    """Whatever the budget, a search ends after _MAX_POWER_ITER products;
+    with the cap raised the same search reaches the join."""
+    from bratteli import Level, diagram
+    # 10,007 levels, built directly so one Level serves every copy
+    ids, labels = ("a", "b"), {"a": 1, "b": 1}
+    first = Level(ids, labels, [("root", "a"), ("root", "b")])
+    ident = Level(ids, labels, [("a", "a"), ("b", "b")])
+    full = Level(ids, labels, [("a", "a"), ("b", "a"), ("a", "b"),
+                               ("b", "b")])
+    d = Diagram([first] + [ident] * 10004 + [full] * 2, 1, False)
+
+    def positive(mat):
+        return all(all(row) for row in mat)
+
+    search = diagram._search_products
+    assert search(d, 1, 1, 1, positive, 20000) == (UNKNOWN, 10001)
+    monkeypatch.setattr(diagram, "_MAX_POWER_ITER", 20000)
+    assert search(d, 1, 1, 1, positive, 20000) == (HOLDS, 10006)
+
+
+def test_stationary_cycle_never_connects_a_component():
+    """Two vertices that swap at every level: the block products
+    alternate between the swap and the identity, so the state cycle
+    proves the component never fully connected."""
+    cls = {"minimal": 1}
+    verts = [_v("a", cls), _v("b", cls)]
+    d = _parse(_doc([_lvl(verts, [_e("root", "a"), _e("root", "b")]),
+                     _lvl(verts, [_e("b", "a"), _e("a", "b")])],
+                    stationary=True))
+    rep = validate_unordered(d)
+    assert rep.verdict("k_simple") == FAILS
+    assert rep.witness("k_simple") == [
+        {"component": 1, "level": 1, "stalled_at": 2},
+        {"component": 1, "level": 2, "stalled_at": 3}]
+    assert "component 1 never fully connected from level 1" in \
+        " ".join(rep.findings)
+    # brute force: no product of the plain incidences over 40 levels has
+    # every entry positive
+    for n in (1, 2):
+        prod = [[1, 0], [0, 1]]
+        for m in range(n, n + 40):
+            inc = d.incidence(m)
+            prod = [[sum(inc[r][t] * prod[t][c] for t in range(2))
+                     for c in range(2)] for r in range(2)]
+            assert not all(all(row) for row in prod)
+
+
 def test_single_level_connectivity_unverifiable():
     d = _parse(_doc([_SINGLE]))
     rep = validate_unordered(d)

@@ -91,7 +91,7 @@ def test_reverse_transposes(odometer):
 
 def test_to_dot_marks_flagged_nodes(odometer):
     g = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, 2, g.nodes, ((), (0,)), (0,))
+    hand = CylinderGraph(1, g.nodes, ((), (0,)), (0,))
     dot = hand.to_dot()
     assert dot.startswith("digraph cylinders {")
     assert "style=dashed" in dot
@@ -131,16 +131,16 @@ def test_elementary_fixture_failure_is_monotone(five_vertex):
 
 def test_unknown_when_flags_block_the_verdict(odometer):
     g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, 2, g0.nodes, ((), (0,)), (0,))
+    hand = CylinderGraph(1, g0.nodes, ((), (0,)), (0,))
     verdict, witness = chain_transitive(odometer, 1, graph=hand)
     assert verdict == UNKNOWN
-    assert witness == {"unresolved": 1, "lookahead": 2}
+    assert witness == {"unresolved": 1, "checked_to": 2}
 
 
 def test_flagfree_cut_beats_flags(odometer):
     # a flag elsewhere cannot save a certified flag-free closed cut
     g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, 2, g0.nodes, ((0,), ()), (1,))
+    hand = CylinderGraph(1, g0.nodes, ((0,), ()), (1,))
     verdict, witness = chain_transitive(odometer, 1, graph=hand)
     assert verdict == FAILS
     assert witness["cut"] == ("1:root->v#1",)
@@ -251,15 +251,21 @@ def test_cover_input_validation(odometer, ex57):
 
 def test_cover_rejects_flagged_graphs(odometer):
     g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, 2, g0.nodes, ((), (0,)), (0,))
-    with pytest.raises(DiagramError, match="unreliable"):
+    hand = CylinderGraph(1, g0.nodes, ((), (0,)), (0,))
+    with pytest.raises(DiagramError, match=r"^1 cylinders unresolved "
+                       r"\(presentation checked to level 2\); sweep "
+                       "counts would be unreliable$"):
         cover_steps(odometer, [g0.nodes[0]], graph=hand)
+    with pytest.raises(DiagramError, match=r"at resolution 2\^-1 \(1 "
+                       r"cylinders unresolved, presentation checked to "
+                       r"level 2\)$"):
+        epsilon_chain(odometer, g0.nodes[0], g0.nodes[1], graph=hand)
 
 
 def test_cover_diverges_on_stalled_relation(odometer):
     # two self-loops: the sweep never leaves the starting island
     g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, 2, g0.nodes, ((0,), (1,)), ())
+    hand = CylinderGraph(1, g0.nodes, ((0,), (1,)), ())
     res = cover_steps(odometer, [g0.nodes[0]], graph=hand)
     assert isinstance(res, Diverges)
     assert res.steps == 0

@@ -63,7 +63,7 @@ def test_filled_memo_frees_the_diagram_without_the_cyclic_gc():
     d = load_diagram(fixture_path("example-5-7.json"))
     marker_level(d)
     tower_graph(d, 3)
-    assert set(d._memo) == {"markers", MIN, MAX}
+    assert set(d._memo) == {"markers", MIN, MAX, ("landings", 3)}
     ref = weakref.ref(d)
     gc.disable()
     try:

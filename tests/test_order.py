@@ -178,6 +178,31 @@ def test_chains_reject_two_chains_in_one_component(two_odometers):
     assert len(chains.witness["two_chains"]) == 2
 
 
+def test_chains_reject_a_chain_leaving_its_component():
+    """The block's min pointers fix y, but the level-2 fiber of y starts
+    at w, so z_{1,min} leaves component 1 below the block."""
+    verts = [{"id": "y", "class": {"minimal": 1}},
+             {"id": "w", "class": "other"}]
+
+    def lvl(edges):
+        return {"vertices": verts,
+                "edges": [{"source": s, "range": r} for s, r in edges]}
+
+    d = _parse({"kind": "bratteli", "k": 1, "stationary": True, "levels": [
+        lvl([("root", "y"), ("root", "w")]),
+        lvl([("w", "y"), ("y", "y"), ("y", "w"), ("w", "w")]),
+        lvl([("y", "y"), ("w", "y"), ("y", "w"), ("w", "w")])]})
+    chains = extreme_chains(d, MIN)
+    assert chains.verdict == FAILS
+    assert chains.witness == {"chain_leaves_component": {
+        "component": 1, "level": 1, "vertex": "w"}}
+    # brute force: the lex-first path into y, at any depth past the
+    # block, starts at w, a remainder vertex
+    for depth in (3, 4, 5):
+        first = min(enumerate_paths(d, "y", depth), key=lambda p: p.key())
+        assert first.verts[0] == "w" and d.label(1, "w") == 0
+
+
 def test_nonstationary_chains_stay_unknown(ex57):
     doc = ex57.to_json()
     doc["levels"].append(doc["levels"][1])
@@ -326,6 +351,61 @@ def test_target_side_checked_independently():
     assert rep.verdict("order_compat_target") == FAILS
     wit = rep.witness("order_compat_target")
     assert (wit["expected"], wit["got"]) == (1, 2)
+
+
+def _block(fibers):
+    """Stationary k=2 diagram over y1, v1, v2, y2 with the given fibers."""
+    ids = ["y1", "v1", "v2", "y2"]
+    cls = {"y1": {"minimal": 1}, "y2": {"minimal": 2}}
+    verts = [{"id": v, "class": cls.get(v, "other")} for v in ids]
+    return _parse({"kind": "bratteli", "k": 2, "stationary": True, "levels": [
+        {"vertices": verts,
+         "edges": [{"source": "root", "range": v} for v in ids]},
+        {"vertices": verts,
+         "edges": [{"source": s, "range": v} for v in ids for s in fibers[v]]},
+    ]})
+
+
+# v1 is the maximal edge of v2's fiber, and v1's max chain lands in Y1;
+# the twins differ only in v1's first edge, the one its min chain takes
+_VIA = {"y1": ["y1", "y1"], "y2": ["y2", "y2"], "v2": ["y2", "v2", "v1"]}
+
+
+def _refill_components(d):
+    """Level-1 components the successor refills to, over the depth-5
+    paths that are maximal up to the edge v1 -> v2 at level 4 and not
+    maximal at level 5: brute force over the lex order."""
+    from bratteli import successor
+    top = extreme_path(d, "v1", 3, MAX)
+    out = set()
+    for v in d.vertices(5):
+        for p in enumerate_paths(d, v, 5):
+            if (p.verts[:3] == top.verts and p.ranks[:3] == top.ranks
+                    and p.verts[3] == "v2" and p.ranks[3] == 2
+                    and p.ranks[4] < len(d.fiber(5, v)) - 1):
+                out.add(d.label(1, successor(d, p).verts[0]))
+    return out
+
+
+@pytest.mark.parametrize("first,verdict,refills", [
+    ("y1", HOLDS, {1}), ("v2", FAILS, {2})], ids=["holds", "fails"])
+def test_maximal_v_o_edge_routes_through_its_break(first, verdict, refills):
+    """An edge from V_o at the end of its fiber has no successor of its
+    own: the increment breaks further up, and the donor of that break
+    must refill in the component the edge's max chain lands in (Y1)."""
+    d = _block(dict(_VIA, v1=[first, "v1", "y1"]))
+    assert d.label(1, extreme_path(d, "v1", 3, MAX).verts[0]) == 1
+    assert _refill_components(d) == refills
+    rep = validate_ordered(d)
+    assert [c.verdict for c in rep.checks] == [
+        HOLDS, HOLDS, HOLDS, verdict, HOLDS]
+    if verdict == HOLDS:
+        assert rep.witness("order_compat_source") == {"from_level": 3}
+    else:
+        assert json.dumps(rep.witness("order_compat_source"),
+                          sort_keys=True) == (
+            '{"expected": 1, "got": 2, "level": 3, "range": "v2", '
+            '"rank": 2, "vertex": "v1", "via": "maximal edge"}')
 
 
 def test_nonstationary_routing_is_relative(ex57):

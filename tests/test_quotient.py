@@ -2,12 +2,14 @@
 
 Core claims:
     - the iterative path enumeration lists the recursive order exactly
-    - cylinder_graph, expanded from the tower graph, is the graph built
-      with one vershik_step per cylinder: same nodes, out-edges, flags
+    - the lex list of deeper paths is the blocks the oracle reads it as
+    - cylinder_graph, expanded from the tower graph, is the brute-force
+      step relation read off the lex order of deeper paths: same nodes,
+      out-edges and flags
     - verdict, witness, node count and saturation decided on the towers
       equal the node-level answers, errors included, on every fixture at
       depths 1-5, on every fifth corpus diagram at depths 1-4 and on
-      small random diagrams at any lookahead
+      small random diagrams, stationary or not
     - on arbitrary weighted tower graphs, including shapes tower_graph
       never builds, the analysis agrees with the node-level analysis of
       the expansion, and without flags it says Holds exactly when every
@@ -25,7 +27,7 @@ from bratteli import (HOLDS, CylinderGraph, DiagramError, TowerGraph,
                       parse_diagram, saturation_sets, saturation_sizes,
                       tower_graph)
 from cylinder_oracle import (_reach, node_graph, node_saturation,
-                             node_verdict, recursive_paths)
+                             node_verdict, recursive_paths, segments)
 
 FIXTURES = ["ex57", "ex57_unordered", "ex82", "five_vertex", "odometer",
             "two_odometers"]
@@ -37,25 +39,25 @@ def _same_error(call, want):
     assert str(got.value) == str(want)
 
 
-def _check_against_oracle(d, depth, lookahead=2):
+def _check_against_oracle(d, depth):
     """Compare everything the quotient decides; returns the outcome, a
     verdict or the first error message's opening words."""
     try:
-        ref = node_graph(d, depth, lookahead)
+        ref = node_graph(d, depth)
     except DiagramError as exc:
-        _same_error(lambda: tower_graph(d, depth, lookahead), exc)
-        _same_error(lambda: cylinder_graph(d, depth, lookahead), exc)
+        _same_error(lambda: tower_graph(d, depth), exc)
+        _same_error(lambda: cylinder_graph(d, depth), exc)
         return str(exc).split(" 1:")[0]
-    g = cylinder_graph(d, depth, lookahead)
+    g = cylinder_graph(d, depth)
     assert g.nodes == ref.nodes
     assert g.out == ref.out
     assert g.flagged == ref.flagged
-    tg = tower_graph(d, depth, lookahead)
+    tg = tower_graph(d, depth)
     assert tg.size == len(ref)
-    want = node_verdict(ref)
-    assert chain_transitive(d, depth, lookahead, graph=tg) == want
-    assert chain_transitive(d, depth, lookahead) == want
-    assert chain_transitive(d, depth, lookahead, graph=g) == want
+    want = node_verdict(d, ref)
+    assert chain_transitive(d, depth, graph=tg) == want
+    assert chain_transitive(d, depth) == want
+    assert chain_transitive(d, depth, graph=g) == want
     try:
         sets = node_saturation(d, ref)
     except DiagramError as exc:
@@ -102,6 +104,21 @@ def test_enumeration_matches_recursive_order(request, fixture):
                 recursive_paths(d, v, depth)
 
 
+@pytest.mark.parametrize("fixture", ["ex57", "five_vertex", "odometer"])
+def test_deeper_lex_list_is_blocks_of_towers(request, fixture):
+    # segments from level N in lex order, each after every floor of the
+    # tower of its start: the order the oracle's successor is read in
+    d = request.getfixturevalue(fixture)
+    for depth, deeper in ((1, 3), (2, 3), (2, 4), (3, 2)):
+        for v in d.vertices(depth + deeper):
+            listed = [(p.ranks, p.verts[:depth])
+                      for p in recursive_paths(d, v, depth + deeper)]
+            blocks = [(p.ranks + ranks, p.verts)
+                      for s, ranks in segments(d, v, depth, depth + deeper)
+                      for p in recursive_paths(d, s, depth)]
+            assert blocks == listed
+
+
 @pytest.mark.parametrize("fixture", FIXTURES)
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_fixture_quotient_matches_oracle(request, fixture, depth):
@@ -115,8 +132,8 @@ def test_corpus_quotient_matches_oracle(fuzz_corpus):
 
 
 def test_random_diagrams_match_oracle():
-    # small arbitrary diagrams reach every verdict and the error
-    # branches the fixtures and the corpus never meet
+    # small arbitrary diagrams, stationary or not, reach every verdict
+    # and the saturation error the fixtures and the corpus never meet
     rng = random.Random("diagrams")
     seen = set()
     tried = 0
@@ -125,10 +142,8 @@ def test_random_diagrams_match_oracle():
         if d is None:
             continue
         tried += 1
-        seen.add(_check_against_oracle(d, rng.choice((1, 2, 3)),
-                                       rng.choice((0, 1, 2))))
-    assert seen >= {"Holds", "Fails", "Unknown", "no cylinder",
-                    "cylinder"}, seen
+        seen.add(_check_against_oracle(d, rng.choice((1, 2, 3))))
+    assert seen >= {"Holds", "Fails", "Unknown", "no cylinder"}, seen
 
 
 def _strongly_connected(out):
@@ -152,10 +167,9 @@ def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
         out = [rng.sample(range(m), rng.choice((0, 1, 1, 2, 2, 3)))
                for _ in range(m)]
         flagged = [t for t in range(m) if rng.random() < 0.15]
-        tg = TowerGraph(d, depth, 2, base.vertices, base.heights, out,
-                        flagged)
+        tg = TowerGraph(d, depth, base.vertices, base.heights, out, flagged)
         g = tg.expand()
-        want = node_verdict(g)
+        want = node_verdict(d, g)
         seen.add(want[0])
         assert chain_transitive(d, depth, graph=tg) == want
         assert chain_transitive(d, depth, graph=g) == want
@@ -176,7 +190,8 @@ def test_random_node_graphs_match_oracle(odometer):
     for _ in range(300):
         out = [rng.sample(range(8), rng.choice((0, 1, 1, 2))) for _ in nodes]
         flagged = [v for v in range(8) if rng.random() < 0.1]
-        g = CylinderGraph(3, 2, nodes, out, flagged)
-        assert chain_transitive(odometer, 3, graph=g) == node_verdict(g)
+        g = CylinderGraph(3, nodes, out, flagged)
+        assert chain_transitive(odometer, 3, graph=g) == \
+            node_verdict(odometer, g)
         assert saturation_sets(odometer, 3, graph=g) == \
             node_saturation(odometer, g)

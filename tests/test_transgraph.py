@@ -141,6 +141,87 @@ def test_lift_edge_catches_broken_walk(ex57):
         lift_edge_to_path(bad, 2, "v1")
 
 
+def _block(fibers):
+    """Stationary k=2 diagram over y1, v1, v2, y2 with the given fibers."""
+    import json
+    from bratteli import parse_diagram
+    ids = ["y1", "v1", "v2", "y2"]
+    cls = {"y1": {"minimal": 1}, "y2": {"minimal": 2}}
+    verts = [{"id": v, "class": cls.get(v, "other")} for v in ids]
+    block = [{"source": s, "range": v} for v in ids for s in fibers[v]]
+    return parse_diagram(json.dumps({
+        "kind": "bratteli", "k": 2, "stationary": True, "levels": [
+            {"vertices": verts,
+             "edges": [{"source": "root", "range": v} for v in ids]},
+            {"vertices": verts, "edges": block}]}))
+
+
+def test_lift_edge_needs_resolved_markers(ex57):
+    # level-1 V_o vertices land on themselves, outside every component
+    with pytest.raises(DiagramError,
+                       match="markers of 'v1' unresolved at level 1"):
+        lift_edge_to_path(ex57, 0, "v1")
+    # v1 resolves at level 2, the labels of its fiber at level 1 do not;
+    # the first label in fiber order is named
+    with pytest.raises(DiagramError,
+                       match="markers of 'v1' unresolved at level 1"):
+        lift_edge_to_path(ex57, 1, "v1")
+
+
+def test_lift_edge_catches_wrong_end_marker():
+    # v2's fiber holds no V_o label, so its walk stays at its min-marker
+    # Y1 while its max-marker is Y2
+    d = _block({"y1": ["y1", "y1"], "y2": ["y2", "y2"],
+                "v1": ["v2", "v1", "v2"], "v2": ["y1", "y2"]})
+    assert (transition_graph(d, 3).edges[1]) == ("v2", 1, 2)
+    with pytest.raises(DiagramError,
+                       match="walk for 'v2' ends at Y1, its own marker is Y2"):
+        lift_edge_to_path(d, 3, "v2")
+
+
+def test_lift_edge_catches_unvisited_component():
+    # v1 runs Y2 -> Y2 through its one label v2, yet has an edge from y1
+    d = _block({"y1": ["y1", "y1"], "y2": ["y2", "y2"],
+                "v1": ["v2", "y1", "y2"], "v2": ["y2", "v1"]})
+    lifted = dict(zip(("lo", "hi"), transition_graph(d, 3).edges[0][1:]))
+    assert lifted == {"lo": 2, "hi": 2}
+    with pytest.raises(DiagramError, match="fiber of 'v1' has component-1 "
+                       "edges but its walk never visits Y1"):
+        lift_edge_to_path(d, 3, "v1")
+
+
+def test_lift_edge_catches_missing_fiber_edge():
+    # the label v2 runs Y2 -> Y1 but its own fiber has no edge from y1
+    d = _block({"y1": ["y1", "y1"], "y2": ["y2", "y2"],
+                "v1": ["v2", "y1"], "v2": ["y2", "v1"]})
+    assert d.fiber(2, "v2") == ("y2", "v1")
+    with pytest.raises(DiagramError,
+                       match="label 'v2' lacks a fiber edge from component 1"):
+        lift_edge_to_path(d, 3, "v1")
+
+
+def test_lift_edge_catches_multiplicity_mismatch(ex57):
+    """The incidence skips root-sourced edges, so a V_o vertex named
+    ``root`` is the one way a label count can disagree with it.  The
+    parser refuses that id, so this diagram is built directly."""
+    from bratteli import Diagram, Level
+    name = {"v1": "root"}
+    levels = []
+    for n in (1, 2):
+        lev = ex57.level(n)
+        ids = [name.get(v, v) for v in lev.ids]
+        labels = {name.get(v, v): lab for v, lab in lev.labels.items()}
+        edges = [(s if n == 1 else name.get(s, s), name.get(r, r))
+                 for s, r in lev.edges]
+        levels.append(Level(ids, labels, edges))
+    d = Diagram(levels, 2, True)
+    assert d.fiber(2, "v2") == ("y1", "v2", "root", "v2", "y2")
+    assert d.incidence(1)[2] == [1, 0, 2, 1]
+    with pytest.raises(DiagramError, match="label 'root' appears 1 times in "
+                       "the fiber of 'v2', incidence says 0"):
+        lift_edge_to_path(d, 2, "v2")
+
+
 def test_other_block_restricts_incidence(ex57, ex82):
     assert other_block(ex57, 2) == [[2, 1], [1, 2]]
     assert other_block(ex82, 2) == [[2, 0], [0, 3]]

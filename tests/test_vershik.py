@@ -8,8 +8,8 @@ Core claims:
       Maximal top, and predecessor climbs them back down
     - traversal counts of deep towers through shallow ones reproduce the
       incidence matrix
-    - vershik_step resolves maximal windows within the lookahead on the
-      stationary fixtures, and wraps trunk tops to the opposite extreme
+    - vershik_step resolves maximal windows exactly on the stationary
+      fixtures, and wraps trunk tops to the opposite extreme
     - orbit walks stop early with the right terminal marker
 """
 
@@ -228,5 +228,5 @@ def test_unresolved_step_on_short_presentation(ex57):
     import json as _json
     d = parse_diagram(_json.dumps(doc))
     top = extreme_path(d, "v1", 2, MAX)
-    img = vershik_step(d, top, lookahead=5)
+    img = vershik_step(d, top)
     assert img.unresolved
