@@ -28,8 +28,8 @@ from .realize import (DVectors, Multigraph, NoWalk, euler_walk,
 from .transgraph import (TransitionGraph, check_structure, dvector_matrix,
                          dvectors, index_pushforward, lift_edge_to_path,
                          other_block, transition_graph)
-from .vershik import (KRPartition, Maximal, Minimal, StepImage,
-                      inverse_step, orbit, predecessor, successor, tower,
-                      towers, traversal_matrix, vershik_step)
+from .vershik import (KRPartition, Maximal, Minimal, StepImage, orbit,
+                      predecessor, successor, tower, towers,
+                      traversal_matrix, vershik_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

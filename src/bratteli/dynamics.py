@@ -11,8 +11,11 @@ and inside a tower the successor just climbs one floor.  So the step
 relation is kept as a quotient with one node per tower, weighted by
 its height: only the tower tops get a ``vershik_step``, and each of
 them lands on ground floors.  Verdicts, node counts and saturation
-sizes are read off the quotient; cylinders are listed only where the
-output names them.
+sizes are read off the towers.  Epsilon-chains, pseudo-orbits and
+covering sweeps walk the floors as integers, numbered towers first and
+bottom up; a floor's out-list comes from its tower when it is asked
+for, and only the cylinders a query prints are turned back into paths.
+The one graph with a node per cylinder is the ``--format dot`` drawing.
 
 A tower top's step is exact: its maximal continuations are walked
 forward, keyed on each level's representative in the stationary tail,
@@ -25,10 +28,12 @@ them degrade to Unknown.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
-from .order import MAX, MIN, enumerate_paths, extreme_path
+from .order import MAX, Path, enumerate_paths, extreme_path
 from .vershik import vershik_step
 
 
@@ -43,96 +48,133 @@ def path_text(p):
 
 
 class TowerGraph:
-    """Step relation between the level-N towers.
+    """Step relation between the level-N towers and between their floors.
 
-    Tower t stands over ``vertices[t]`` and has ``heights[t]`` floors,
-    the depth-N cylinders into that vertex in lex order.  Every floor
-    but the top steps to the floor above it, so only the top carries
-    edges: ``out[t]`` lists the towers whose ground floors its step
-    reaches.  A flagged tower's top has unresolved continuations and
+    Tower t stands over ``vertices[t]``, the level-N vertices in listing
+    order, and has ``heights[t]`` floors, the depth-N cylinders into that
+    vertex in lex order.  Floors are numbered towers first, bottom up:
+    tower t holds floors ``ground[t]`` to ``ground[t + 1] - 1``.  Every
+    floor but the top steps to the floor above it, so only the top
+    carries edges: ``out[t]`` lists the towers whose ground floors its
+    step reaches.  A flagged tower's top has unresolved continuations and
     its out-edges are withheld.
+
+    ``g[v]`` is floor v's out-list, so the graph is an adjacency that
+    ``_graph.shortest_path`` walks, and ``into(v)`` is its in-list.
+    ``rank`` and ``path`` turn a cylinder into its floor and back through
+    ``counts``, the number of paths into each vertex of levels 0 to N.
     """
 
-    __slots__ = ("diagram", "depth", "vertices", "heights", "out",
-                 "flagged", "size")
+    __slots__ = ("diagram", "depth", "vertices", "counts", "heights",
+                 "ground", "size", "out", "rev", "flagged")
 
-    def __init__(self, diagram, depth, vertices, heights, out, flagged):
+    def __init__(self, diagram, depth, out, flagged):
         self.diagram = diagram
         self.depth = depth
-        self.vertices = tuple(vertices)
-        self.heights = tuple(heights)
+        self.vertices = tuple(diagram.vertices(depth))
+        self.counts = [{ROOT: 1}]
+        for n in range(1, depth + 1):
+            lev, below = diagram.level(n), self.counts[-1]
+            self.counts.append({v: sum(below[s] for s in lev.fibers[v])
+                                for v in lev.ids})
+        self.heights = tuple(self.counts[depth][v] for v in self.vertices)
+        self.ground = [0]
+        for h in self.heights:
+            self.ground.append(self.ground[-1] + h)
+        self.size = self.ground[-1]
         self.out = tuple(tuple(sorted(t)) for t in out)
+        self.rev = reverse(self.out)
         self.flagged = frozenset(flagged)
-        self.size = sum(self.heights)
+
+    def __getitem__(self, v):
+        """Floor v's out-list: the floor above it, and from a top the
+        ground floors of the towers its step reaches."""
+        t = bisect_right(self.ground, v) - 1
+        if v + 1 < self.ground[t + 1]:
+            return (v + 1,)
+        return tuple(self.ground[u] for u in self.out[t])
+
+    def into(self, v):
+        """Floor v's in-list: the floor below it, and into a ground floor
+        the tops of the towers whose steps reach it."""
+        t = bisect_right(self.ground, v) - 1
+        if v > self.ground[t]:
+            return (v - 1,)
+        return tuple(self.ground[u + 1] - 1 for u in self.rev[t])
+
+    def rank(self, p, name):
+        """The floor of cylinder p; ``name`` says what p is in errors.
+
+        Each edge of p, from the top level down, passes over the paths
+        into the sources of the edges listed before it in its fiber.
+        """
+        if p.depth != self.depth:
+            raise DiagramError("%s has depth %d, graph was built at depth %d"
+                               % (name, p.depth, self.depth))
+        verts = (ROOT,) + p.verts
+        floor = None
+        if p.end in self.vertices:
+            floor = self.ground[self.vertices.index(p.end)]
+            for n in range(self.depth, 0, -1):
+                fib = self.diagram.fiber(n, verts[n])
+                r = p.ranks[n - 1]
+                if not (0 <= r < len(fib) and fib[r] == verts[n - 1]):
+                    floor = None
+                    break
+                floor += sum(self.counts[n - 1][s] for s in fib[:r])
+        if floor is None:
+            raise DiagramError("%s is not a path of this diagram" % (name,))
+        return floor
+
+    def path(self, v):
+        """The cylinder on floor v, its edges chosen from the top down."""
+        t = bisect_right(self.ground, v) - 1
+        j = v - self.ground[t]
+        verts, ranks = [self.vertices[t]], []
+        for n in range(self.depth, 0, -1):
+            below = self.counts[n - 1]
+            for r, s in enumerate(self.diagram.fiber(n, verts[-1])):
+                if j < below[s]:
+                    break
+                j -= below[s]
+            verts.append(s)
+            ranks.append(r)
+        return Path(verts[-2::-1], ranks[::-1])
 
     def floors(self, t):
         """The cylinders of tower t, ground floor first."""
         return enumerate_paths(self.diagram, self.vertices[t], self.depth)
 
     def expand(self):
-        """The CylinderGraph this quotient stands for.
-
-        Floor j of a tower steps to floor j+1 and the top to the ground
-        floors of the towers its step reaches, so no step is computed
-        per node.
-        """
-        nodes = []
-        ground = []
-        for t in range(len(self.vertices)):
-            ground.append(len(nodes))
-            nodes.extend(self.floors(t))
-        out = []
-        flagged = []
-        for t, outs in enumerate(self.out):
-            top = ground[t] + self.heights[t] - 1
-            out.extend((j + 1,) for j in range(ground[t], top))
-            out.append(tuple(ground[u] for u in outs))
-            if t in self.flagged:
-                flagged.append(top)
+        """The CylinderGraph drawing this quotient, one node per floor."""
+        nodes = [p for t in range(len(self.vertices)) for p in self.floors(t)]
+        out = [self[v] for v in range(self.size)]
+        flagged = [self.ground[t + 1] - 1 for t in self.flagged]
         return CylinderGraph(self.depth, nodes, out, flagged)
 
 
 class CylinderGraph:
-    """Step relation between the depth-N cylinders.
+    """Step relation between the depth-N cylinders, as ``--format dot``
+    draws it.
 
-    Nodes are all depth-N paths, towers in vertex listing order and
-    floors bottom up.  A node whose deepest edge is not fiber-maximal
-    has exactly one out-edge, to its successor; tower tops get the
-    forward windows of their exact step.  Flagged node indices mark
-    cylinders with unresolved continuations: their out-edges are
-    withheld entirely, so the graph under-approximates the dynamics
-    there and never invents a step.
-
-    The analysis treats it as a tower graph whose towers all have
-    height 1, so hand-built relations go through the same routine.
+    Nodes are all depth-N paths, numbered as the tower graph numbers its
+    floors.  A node whose deepest edge is not fiber-maximal has exactly
+    one out-edge, to its successor; tower tops get the forward windows of
+    their exact step.  Flagged nodes are tops with unresolved
+    continuations: their out-edges are withheld, and they are drawn
+    dashed.
     """
 
-    __slots__ = ("depth", "nodes", "index", "out", "flagged")
+    __slots__ = ("depth", "nodes", "out", "flagged")
 
     def __init__(self, depth, nodes, out, flagged):
         self.depth = depth
         self.nodes = tuple(nodes)
-        self.index = {p: i for i, p in enumerate(self.nodes)}
         self.out = tuple(tuple(sorted(t)) for t in out)
         self.flagged = frozenset(flagged)
 
     def __len__(self):
         return len(self.nodes)
-
-    @property
-    def size(self):
-        return len(self.nodes)
-
-    @property
-    def heights(self):
-        return (1,) * len(self.nodes)
-
-    def floors(self, t):
-        return (self.nodes[t],)
-
-    def reverse(self):
-        """In-edge lists, aligned with the node indexing."""
-        return reverse(self.out)
 
     def to_dot(self):
         lines = ["digraph cylinders {", "  rankdir=LR;"]
@@ -149,10 +191,11 @@ class CylinderGraph:
 def tower_graph(d, depth):
     """Build the step relation between the level-N towers.
 
-    One ``vershik_step`` per tower top.  Every top keeps at least one
-    target unless flagged, and when nothing is flagged every ground
-    floor must be some top's target; a miss then means the order itself
-    is defective.
+    One ``vershik_step`` per tower top; its targets are minimal windows,
+    the ground floors of their towers.  The step is exact, so nothing is
+    checked after it: an unflagged top always keeps a break or a wrap,
+    hence a target, and when nothing is flagged every ground floor is
+    some top's target.
     """
     if depth < 1:
         raise DiagramError("cylinder resolution needs depth at least 1")
@@ -161,48 +204,30 @@ def tower_graph(d, depth):
     out = []
     flagged = []
     for t, v in enumerate(vertices):
-        top = extreme_path(d, v, depth, MAX)
-        img = vershik_step(d, top)
+        img = vershik_step(d, extreme_path(d, v, depth, MAX))
         if img.unresolved:
             flagged.append(t)
-            out.append(())
-            continue
-        if not img.targets:
-            raise DiagramError("no forward step out of %s" % path_text(top))
-        for q in img.targets:
-            if any(q.ranks):
-                raise RuntimeError("step target %s is not a ground floor"
-                                   % path_text(q))
-        out.append([index[q.end] for q in img.targets])
-    if not flagged:
-        hit = {u for outs in out for u in outs}
-        for t, v in enumerate(vertices):
-            if t not in hit:
-                ground = extreme_path(d, v, depth, MIN)
-                raise DiagramError("cylinder %s has no predecessor"
-                                   % path_text(ground))
-    return TowerGraph(d, depth, vertices, d.path_counts(depth), out,
-                      flagged)
+        out.append([] if img.unresolved
+                   else [index[q.end] for q in img.targets])
+    return TowerGraph(d, depth, out, flagged)
 
 
 def cylinder_graph(d, depth):
     """The step relation between depth-N cylinders, expanded from the
-    tower graph."""
+    tower graph for ``--format dot``."""
     return tower_graph(d, depth).expand()
 
 
 def _decide(g):
-    """Verdict of a tower or cylinder graph, and for a Fails the closed
-    cut as (its towers in listing order, whether it is only the top
-    floor of its one tower).
+    """Verdict of a tower graph, and for a Fails the closed cut as (its
+    towers in listing order, whether it is only the top floor of its one
+    tower).
 
     The closed classes of the cylinder relation come from the closed
     strongly connected sets of towers: one that holds a cycle closes
     every floor of its towers, and a tower with no out-edge at all
     closes only its top floor.
     """
-    n = g.size
-    heights = g.heights
     comps, comp = sccs(g.out)
     terminal = [True] * len(comps)
     for v, outs in enumerate(g.out):
@@ -215,13 +240,13 @@ def _decide(g):
             continue
         towers = sorted(members)
         top_only = len(towers) == 1 and not g.out[towers[0]]
-        size = 1 if top_only else sum(heights[t] for t in towers)
-        if size < n:
+        size = 1 if top_only else sum(g.heights[t] for t in towers)
+        if size < g.size:
             cuts.append((towers, top_only))
     cut = None
     if cuts:
-        # towers are consecutive node ranges, so the cut with the first
-        # tower holds the first node
+        # towers are consecutive floor ranges, so the cut with the first
+        # tower holds the first floor
         verdict = FAILS
         cut = min(cuts, key=lambda c: c[0][0])
     elif g.flagged:
@@ -231,22 +256,21 @@ def _decide(g):
     return verdict, cut
 
 
-def _analyze(d, g):
+def _analyze(g):
     """Chain transitivity verdict and witness; only a Fails cut is
     listed as paths, towers in listing order and floors bottom up."""
     verdict, cut = _decide(g)
     if verdict == FAILS:
         towers, top_only = cut
         if top_only:
-            *_, top = g.floors(towers[0])
-            paths = [top]
+            paths = [g.path(g.ground[towers[0] + 1] - 1)]
         else:
             paths = [p for t in towers for p in g.floors(t)]
         return verdict, {"cut_size": len(paths),
                          "cut": tuple(path_text(p) for p in paths)}
     if verdict == UNKNOWN:
         return verdict, {"unresolved": len(g.flagged),
-                         "checked_to": d.depth}
+                         "checked_to": g.diagram.depth}
     return verdict, {"nodes": g.size, "resolution": g.depth}
 
 
@@ -256,18 +280,7 @@ def chain_transitive(d, depth, graph=None):
     Fails comes with a proper nonempty set of cylinders that no chain
     escapes; Holds means the step relation is strongly connected.
     """
-    g = graph if graph is not None else tower_graph(d, depth)
-    return _analyze(d, g)
-
-
-def _locate(g, p, name):
-    if p.depth != g.depth:
-        raise DiagramError("%s has depth %d, graph was built at depth %d"
-                           % (name, p.depth, g.depth))
-    try:
-        return g.index[p]
-    except KeyError:
-        raise DiagramError("%s is not a path of this diagram" % (name,))
+    return _analyze(graph if graph is not None else tower_graph(d, depth))
 
 
 def epsilon_chain(d, p, q, graph=None):
@@ -279,12 +292,12 @@ def epsilon_chain(d, p, q, graph=None):
     """
     if p.depth != q.depth:
         raise DiagramError("chain endpoints must share a depth")
-    g = graph if graph is not None else cylinder_graph(d, p.depth)
-    src = _locate(g, p, "chain source")
-    dst = _locate(g, q, "chain target")
-    chain = shortest_path(g.out, (src,), dst)
+    g = graph if graph is not None else tower_graph(d, p.depth)
+    src = g.rank(p, "chain source")
+    dst = g.rank(q, "chain target")
+    chain = shortest_path(g, (src,), dst)
     if chain is not None:
-        return [g.nodes[v] for v in chain]
+        return [g.path(v) for v in chain]
     extra = ("" if not g.flagged
              else " (%d cylinders unresolved, presentation checked to "
              "level %d)" % (len(g.flagged), d.depth))
@@ -298,22 +311,20 @@ def _inside(d, p):
     return classes.pop() if len(classes) == 1 else OTHER
 
 
-def _highest_floors(d, depth, vertices):
-    """Per class i, the index of each tower's highest floor inside V_i.
+def _class_floors(g):
+    """Per class i, each tower's highest floor inside V_i (counted from
+    its ground floor), or -1.
 
-    One pass up the levels records path counts and, per vertex, the
-    class whose paths reach it without leaving that class (the root
-    belongs to every class).  The highest such floor is the lex-largest
-    such path, found greedily from the top edge down; its floor index
-    sums the counts below the edges it passes over.
+    One pass up the levels records, per vertex, the class whose paths
+    reach it without leaving that class (the root belongs to every
+    class).  The highest such floor is the lex-largest such path, found
+    greedily from the top edge down; its floor index sums the path
+    counts below the edges it passes over.
     """
-    counts = [{ROOT: 1}]
+    d, depth = g.diagram, g.depth
     inside = [{ROOT: None}]
     for n in range(1, depth + 1):
-        lev = d.level(n)
-        below, ins = counts[-1], inside[-1]
-        counts.append({v: sum(below[s] for s in lev.fibers[v])
-                       for v in lev.ids})
+        lev, ins = d.level(n), inside[-1]
         reached = {}
         for v in lev.ids:
             lab = lev.labels[v]
@@ -321,8 +332,8 @@ def _highest_floors(d, depth, vertices):
                                         for s in lev.fibers[v])
             reached[v] = lab if kept else OTHER
         inside.append(reached)
-    tops = {i: [-1] * len(vertices) for i in range(1, d.k + 1)}
-    for t, v in enumerate(vertices):
+    tops = {i: [-1] * len(g.vertices) for i in range(1, d.k + 1)}
+    for t, v in enumerate(g.vertices):
         i = inside[depth][v]
         if i == OTHER:
             continue
@@ -331,30 +342,17 @@ def _highest_floors(d, depth, vertices):
             fib = d.fiber(n, cur)
             r = max(r for r, s in enumerate(fib) if inside[n - 1][s]
                     in (i, None))
-            floor += sum(counts[n - 1][s] for s in fib[:r])
+            floor += sum(g.counts[n - 1][s] for s in fib[:r])
             cur = fib[r]
         tops[i][t] = floor
-    return tops
-
-
-def _class_floors(d, g):
-    """Per class i, each tower's highest floor inside V_i, or -1."""
-    if isinstance(g, TowerGraph):
-        tops = _highest_floors(d, g.depth, g.vertices)
-    else:
-        tops = {i: [-1] * len(g.nodes) for i in range(1, d.k + 1)}
-        for t, p in enumerate(g.nodes):
-            i = _inside(d, p)
-            if i != OTHER:
-                tops[i][t] = 0
     for i, top in tops.items():
         if all(f < 0 for f in top):
             raise DiagramError("no cylinder sits inside component %d at "
-                               "depth %d" % (i, g.depth))
+                               "depth %d" % (i, depth))
     return tops
 
 
-def _saturation(d, g):
+def _saturation(g):
     """Per class i and tower, how many floors chain into V_i.
 
     A floor reaches the floors above it and whatever its tower's top
@@ -365,10 +363,9 @@ def _saturation(d, g):
     fails, since a closed cut holding cylinders of every class leaves the
     counts full under a Fails.
     """
-    rev = reverse(g.out)
     sat = {}
-    for i, top in _class_floors(d, g).items():
-        hit = reach(rev, [t for t, f in enumerate(top) if f >= 0])
+    for i, top in _class_floors(g).items():
+        hit = reach(g.rev, [t for t, f in enumerate(top) if f >= 0])
         sat[i] = [h if any(u in hit for u in outs) else f + 1
                   for h, outs, f in zip(g.heights, g.out, top)]
     return sat
@@ -378,7 +375,7 @@ def saturation_sizes(d, depth, graph=None):
     """How many cylinders chain into each minimal class, without
     listing them: {i: count}."""
     g = graph if graph is not None else tower_graph(d, depth)
-    return {i: sum(c) for i, c in _saturation(d, g).items()}
+    return {i: sum(c) for i, c in _saturation(g).items()}
 
 
 def saturation_sets(d, depth, graph=None):
@@ -391,7 +388,7 @@ def saturation_sets(d, depth, graph=None):
     g = graph if graph is not None else tower_graph(d, depth)
     return {i: frozenset(p for t, c in enumerate(counts) if c
                          for _, p in zip(range(c), g.floors(t)))
-            for i, counts in _saturation(d, g).items()}
+            for i, counts in _saturation(g).items()}
 
 
 class Diverges:
@@ -414,7 +411,8 @@ def cover_steps(d, cylinders, direction="forward", graph=None):
 
     The set must meet every minimal class: a component none of whose
     cylinders are included can never be swept out, so that input is
-    rejected outright.  Backward sweeps use the inverse step.
+    rejected outright.  Backward sweeps follow the step relation
+    transposed.
     """
     cyls = list(cylinders)
     if not cyls:
@@ -424,27 +422,26 @@ def cover_steps(d, cylinders, direction="forward", graph=None):
         raise DiagramError("covering set mixes depths")
     if direction not in ("forward", "backward"):
         raise DiagramError("direction must be forward or backward")
-    tg = graph if graph is not None else tower_graph(d, depth)
-    if tg.flagged:
+    g = graph if graph is not None else tower_graph(d, depth)
+    if g.flagged:
         raise DiagramError("%d cylinders unresolved (presentation checked "
                            "to level %d); sweep counts would be unreliable"
-                           % (len(tg.flagged), d.depth))
-    g = tg.expand() if isinstance(tg, TowerGraph) else tg
-    start = {_locate(g, p, "covering cylinder") for p in cyls}
-    met = {_inside(d, g.nodes[v]) for v in start}
-    for i in sorted(_class_floors(d, tg)):
+                           % (len(g.flagged), d.depth))
+    start = {g.rank(p, "covering cylinder") for p in cyls}
+    met = {_inside(d, p) for p in cyls}
+    for i in sorted(_class_floors(g)):
         if i not in met:
             raise DiagramError("covering set misses every cylinder of "
                                "component %d" % i)
-    adj = g.out if direction == "forward" else g.reverse()
+    step = g.__getitem__ if direction == "forward" else g.into
     covered = set(start)
     frontier = start
     steps = 0
-    while len(covered) < len(g.nodes):
-        nxt = {w for v in frontier for w in adj[v]} - covered
+    while len(covered) < g.size:
+        nxt = {w for v in frontier for w in step(v)} - covered
         if not nxt:
-            left = sorted(set(range(len(g.nodes))) - covered)
-            return Diverges(steps, (path_text(g.nodes[v]) for v in left))
+            left = sorted(set(range(g.size)) - covered)
+            return Diverges(steps, (path_text(g.path(v)) for v in left))
         covered |= nxt
         frontier = nxt
         steps += 1
@@ -457,14 +454,13 @@ def pseudo_orbit(d, p, graph=None):
     Only meaningful on chain transitive systems, so anything less than
     a Holds verdict at this resolution is rejected.
     """
-    tg = graph if graph is not None else tower_graph(d, p.depth)
-    verdict, _ = _decide(tg)
+    g = graph if graph is not None else tower_graph(d, p.depth)
+    verdict, _ = _decide(g)
     if verdict != HOLDS:
         raise DiagramError("pseudo-orbits need chain transitivity at this "
                            "resolution, got %s" % verdict)
-    g = tg.expand() if isinstance(tg, TowerGraph) else tg
-    src = _locate(g, p, "orbit base")
-    chain = shortest_path(g.out, g.out[src], src)
+    src = g.rank(p, "orbit base")
+    chain = shortest_path(g, g[src], src)
     if chain is not None:
-        return [p] + [g.nodes[v] for v in chain]
+        return [p] + [g.path(v) for v in chain]
     raise DiagramError("no closed chain through %s" % path_text(p))

@@ -51,13 +51,6 @@ def pushforward(d, x, to_level, ideal=False):
     return (n, vec)
 
 
-def _to_depth(d, n, vec, ideal):
-    while n < d.depth:
-        vec = _mat_vec(_block(d, n, ideal), vec)
-        n += 1
-    return n, vec
-
-
 def _tail_kill(d, vec, ideal):
     """B^dim image in the stationary tail; zero iff the class is zero."""
     b = _block(d, d.depth, ideal)
@@ -68,8 +61,7 @@ def _tail_kill(d, vec, ideal):
 
 def class_is_zero(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
     """Whether the vector's class vanishes.  Returns (verdict, witness)."""
-    vec = _check_vec(d, n, vec, ideal)
-    lvl, cur = _to_depth(d, n, vec, ideal)
+    lvl, cur = pushforward(d, (n, vec), max(n, d.depth), ideal)
     if not any(cur):
         return HOLDS, {"vanishes_by": lvl}
     if d.stationary:
@@ -88,16 +80,9 @@ def class_is_zero(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
 
 def eq(d, x, y, ideal=False, depth_budget=DEFAULT_BUDGET):
     """Same-class test for two (level, vector) elements."""
-    (na, va), (nb, vb) = x, y
-    va = _check_vec(d, na, va, ideal)
-    vb = _check_vec(d, nb, vb, ideal)
-    top = max(na, nb)
-    while na < top:
-        va = _mat_vec(_block(d, na, ideal), va)
-        na += 1
-    while nb < top:
-        vb = _mat_vec(_block(d, nb, ideal), vb)
-        nb += 1
+    top = max(x[0], y[0])
+    _, va = pushforward(d, x, top, ideal)
+    _, vb = pushforward(d, y, top, ideal)
     diff = tuple(a - b for a, b in zip(va, vb))
     return class_is_zero(d, top, diff, ideal, depth_budget)
 
@@ -111,7 +96,7 @@ def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
     stays nonzero; both give exact Fails.  Otherwise Unknown.
     """
     vec = _check_vec(d, n, vec, ideal)
-    lvl, cur = _to_depth(d, n, vec, ideal)
+    lvl, cur = pushforward(d, (n, vec), max(n, d.depth), ideal)
     trail = [vec] if n == lvl else [vec, cur]
     for w in trail:
         if all(e >= 0 for e in w):
@@ -161,8 +146,7 @@ def bounded_norm_membership(d, n, vec, bound, ideal=True,
     """
     if bound < 0:
         raise DiagramError("norm bound must be non-negative")
-    vec = _check_vec(d, n, vec, ideal)
-    lvl, cur = _to_depth(d, n, vec, ideal)
+    lvl, cur = pushforward(d, (n, vec), max(n, d.depth), ideal)
     if not any(cur):
         return HOLDS, {"zero_class": True}
     if not d.stationary:

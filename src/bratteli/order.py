@@ -366,14 +366,13 @@ def marker_level(d):
     return L, UNKNOWN, {"relative_L": L, "checked_to": scan_end}
 
 
-def _breaks(d, level, vertex, rep, direction):
-    """Where the continuations of ``vertex`` on ``level`` leave the fiber end.
+def _breaks(d, level, vertex, rep):
+    """Where the maximal continuations of ``vertex`` on ``level`` break.
 
-    Walks forward along the edges at the ``direction`` end of their
-    fibers (the last edge for MAX, the first for MIN).  An edge met that
-    is not at that end breaks its continuation: the move takes its
-    neighbour in the fiber, and that edge's source, the donor, is where
-    the refill starts.  Returns (breaks, looped, ended):
+    Walks forward along the edges that are last in their fibers.  An
+    edge met that is not last breaks its continuation: the successor
+    takes the next edge of the fiber, and that edge's source, the donor,
+    is where the minimal refill starts.  Returns (breaks, looped, ended):
 
     - breaks: the (level, donor) pairs, the donor lying on that level;
     - looped: a walk state came round again;
@@ -385,9 +384,8 @@ def _breaks(d, level, vertex, rep, direction):
     the same landings and the same levels above them, so each state is
     walked once and the walk is finite.  When ``rep`` also tells apart
     the levels whose landings on ``level`` differ, a state comes round
-    again exactly when some continuation stays at the fiber end forever.
+    again exactly when some continuation stays maximal forever.
     """
-    step = 1 if direction == MAX else -1
     breaks, ended = set(), set()
     looped = False
     seen = set()
@@ -405,14 +403,13 @@ def _breaks(d, level, vertex, rep, direction):
         lev = d.level(m + 1)
         for t in lev.ids:
             fib = lev.fibers[t]
-            end = len(fib) - 1 if direction == MAX else 0
             for j, s in enumerate(fib):
                 if s != u:
                     continue
-                if j == end:
+                if j == len(fib) - 1:
                     todo.append((m + 1, t))
                 else:
-                    breaks.add((m, fib[j + step]))
+                    breaks.add((m, fib[j + 1]))
     return breaks, looped, ended
 
 
@@ -468,7 +465,7 @@ def _source_compat(d, base_L):
                                                "expected": want, "got": got})
                     else:
                         # a maximal edge: the increment comes further up
-                        breaks, _, ended = _breaks(d, n + 1, t, mt.rep, MAX)
+                        breaks, _, ended = _breaks(d, n + 1, t, mt.rep)
                         got = {mt.marker(MIN, m, s) for m, s in breaks}
                         bad = sorted(c for c in got if c not in (None, want))
                         if bad:

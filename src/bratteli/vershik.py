@@ -163,35 +163,6 @@ class StepImage:
         self.unresolved = unresolved
 
 
-def _step_image(d, p, direction):
-    move = successor if direction == MAX else predecessor
-    nxt = move(d, p)
-    if isinstance(nxt, Path):
-        return StepImage((nxt,), False)
-    n = p.depth
-    kind = MIN if direction == MAX else MAX
-    lands = _landings(d, n)
-    breaks, looped, ended = _breaks(d, n, p.end, lands.rep, direction)
-    ground = {lands.landing(kind, m, s) for m, s in breaks}
-    # an unbroken continuation on the trunk of z_{i,max} is that chain,
-    # which steps to z_{i,min}; a loop is a continuation maximal forever,
-    # so p followed by it is z_{i,max} exactly when p.end is on its trunk
-    ahead, wrap = _chains(d, direction), _chains(d, kind)
-    unresolved = False
-    for m, u in ended | ({(n, p.end)} if looped else set()):
-        z = None
-        if ahead.certain(m) and wrap.certain(n):
-            for i in range(1, d.k + 1):
-                if ahead.vertex(i, m) == u:
-                    z = wrap.vertex(i, n)
-        if z is None:
-            unresolved = True
-        else:
-            ground.add(z)
-    return StepImage((extreme_path(d, w, n, kind) for w in ground),
-                     unresolved)
-
-
 def vershik_step(d, p):
     """Depth-N windows reachable one step forward from extensions of p.
 
@@ -206,12 +177,30 @@ def vershik_step(d, p):
     presentation for anything off a trunk, the image is flagged
     unresolved.
     """
-    return _step_image(d, p, MAX)
-
-
-def inverse_step(d, p):
-    """Mirror of vershik_step: one step backward, min and max swapped."""
-    return _step_image(d, p, MIN)
+    nxt = successor(d, p)
+    if isinstance(nxt, Path):
+        return StepImage((nxt,), False)
+    n = p.depth
+    lands = _landings(d, n)
+    breaks, looped, ended = _breaks(d, n, p.end, lands.rep)
+    ground = {lands.landing(MIN, m, s) for m, s in breaks}
+    # an unbroken continuation on the trunk of z_{i,max} is that chain,
+    # which steps to z_{i,min}; a loop is a continuation maximal forever,
+    # so p followed by it is z_{i,max} exactly when p.end is on its trunk
+    ahead, wrap = _chains(d, MAX), _chains(d, MIN)
+    unresolved = False
+    for m, u in ended | ({(n, p.end)} if looped else set()):
+        z = None
+        if ahead.certain(m) and wrap.certain(n):
+            for i in range(1, d.k + 1):
+                if ahead.vertex(i, m) == u:
+                    z = wrap.vertex(i, n)
+        if z is None:
+            unresolved = True
+        else:
+            ground.add(z)
+    return StepImage((extreme_path(d, w, n, MIN) for w in ground),
+                     unresolved)
 
 
 def orbit(d, p, steps, reverse=False):

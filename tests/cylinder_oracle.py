@@ -194,17 +194,37 @@ def node_verdict(d, g):
     return HOLDS, {"nodes": n, "resolution": g.depth}
 
 
-def node_saturation(d, g):
-    """{i: frozenset of cylinders that chain into a cylinder inside V_i}."""
+def node_class(d, p):
+    """Component i when every vertex of the path p lies in V_i, else 0."""
+    classes = {d.label(lvl, v) for lvl, v in enumerate(p.verts, start=1)}
+    return classes.pop() if len(classes) == 1 else 0
+
+
+def node_families(d, g):
+    """{i: indices of the cylinders inside V_i}, every family nonempty."""
     fams = {i: [] for i in range(1, d.k + 1)}
     for idx, p in enumerate(g.nodes):
-        classes = {d.label(lvl, v) for lvl, v in enumerate(p.verts, start=1)}
-        if len(classes) == 1 and classes != {0}:
-            fams[classes.pop()].append(idx)
+        i = node_class(d, p)
+        if i:
+            fams[i].append(idx)
     for i, fam in fams.items():
         if not fam:
             raise DiagramError("no cylinder sits inside component %d at "
                                "depth %d" % (i, g.depth))
-    rev = g.reverse()
+    return fams
+
+
+def node_reverse(g):
+    """In-edge lists of a cylinder graph, by scanning every out-edge."""
+    rev = [[] for _ in g.nodes]
+    for v, outs in enumerate(g.out):
+        for w in outs:
+            rev[w].append(v)
+    return rev
+
+
+def node_saturation(d, g):
+    """{i: frozenset of cylinders that chain into a cylinder inside V_i}."""
+    rev = node_reverse(g)
     return {i: frozenset(g.nodes[v] for v in _reach(rev, fam))
-            for i, fam in fams.items()}
+            for i, fam in node_families(d, g).items()}

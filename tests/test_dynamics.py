@@ -2,8 +2,10 @@
 
 Core claims:
     - path_text renders 1-based ranks
-    - cylinder graphs give every non-maximal window exactly one out-edge
-      and never invent edges for unresolved windows
+    - the tower graph numbers its floors as the dot drawing numbers its
+      nodes, and rank and path turn a cylinder into its floor and back
+    - every non-maximal window has exactly one out-edge, its successor,
+      and unresolved windows get no invented edges
     - the three-tower fixtures are chain transitive at small depths; the
       doubled odometer fails with the expected island as cut witness
     - chain failure is monotone under refinement on the elementary fixture
@@ -12,6 +14,9 @@ Core claims:
     - cover_steps sweeps the odometer in 2^N - 1 steps from one end and
       reports Diverges only on stalled hand-built relations
     - pseudo-orbits are closed chains through the base cylinder
+
+Hand-built relations are tower graphs on example-5-7 at depth 2: towers
+y1, v1, v2, y2 of heights 2, 5, 5, 2, floors 0-1, 2-6, 7-11 and 12-13.
 """
 
 import json
@@ -27,9 +32,12 @@ from bratteli import (
     CylinderGraph,
     DiagramError,
     Diverges,
+    Path,
+    TowerGraph,
     chain_transitive,
     cover_steps,
     cylinder_graph,
+    enumerate_paths,
     epsilon_chain,
     extreme_path,
     make_path,
@@ -37,6 +45,8 @@ from bratteli import (
     path_text,
     pseudo_orbit,
     saturation_sets,
+    successor,
+    tower_graph,
 )
 
 
@@ -55,10 +65,15 @@ def test_cylinder_graph_shape(ex57):
     assert len(g) == 14
     assert g.depth == 2
     assert not g.flagged
-    assert sorted(g.index[p] for p in g.nodes) == list(range(14))
+    assert len(set(g.nodes)) == 14
     # towers appear in vertex listing order, floors bottom up
     ends = [p.end for p in g.nodes]
     assert ends == sorted(ends, key=list(ex57.vertices(2)).index)
+    # the tower graph numbers its floors the same way
+    tg = tower_graph(ex57, 2)
+    assert [tg.path(v) for v in range(tg.size)] == list(g.nodes)
+    assert [tg.rank(p, "floor") for p in g.nodes] == list(range(14))
+    assert [tg[v] for v in range(tg.size)] == list(g.out)
 
 
 def test_cylinder_graph_node_counts(ex57):
@@ -66,27 +81,30 @@ def test_cylinder_graph_node_counts(ex57):
 
 
 def test_nonmaximal_windows_step_deterministically(ex57):
-    from bratteli import successor, Path
-    g = cylinder_graph(ex57, 2)
-    for i, p in enumerate(g.nodes):
-        nxt = successor(ex57, p)
+    tg = tower_graph(ex57, 2)
+    for v in range(tg.size):
+        nxt = successor(ex57, tg.path(v))
         if isinstance(nxt, Path):
-            assert g.out[i] == (g.index[nxt],)
+            assert tg[v] == (tg.rank(nxt, "successor"),)
         else:
-            assert len(g.out[i]) >= 1
+            assert len(tg[v]) >= 1
+
+
+def test_floor_rank_rejects_foreign_paths(odometer, ex57):
+    tg = tower_graph(ex57, 2)
+    with pytest.raises(DiagramError, match="^p has depth 3, graph was "
+                       "built at depth 2$"):
+        tg.rank(make_path(ex57, "v1", (0, 0, 0)), "p")
+    for foreign in (Path(("v", "v"), (0, 0)), Path(("y1", "v1"), (0, 7)),
+                    Path(("y1", "v1"), (0, -1)), Path(("v2", "v1"), (0, 0))):
+        with pytest.raises(DiagramError, match="^p is not a path of this "
+                           "diagram$"):
+            tg.rank(foreign, "p")
 
 
 def test_cylinder_graph_rejects_zero_depth(ex57):
     with pytest.raises(DiagramError, match="depth at least 1"):
         cylinder_graph(ex57, 0)
-
-
-def test_reverse_transposes(odometer):
-    g = cylinder_graph(odometer, 3)
-    rev = g.reverse()
-    for v, outs in enumerate(g.out):
-        for w in outs:
-            assert v in rev[w]
 
 
 def test_to_dot_marks_flagged_nodes(odometer):
@@ -129,21 +147,23 @@ def test_elementary_fixture_failure_is_monotone(five_vertex):
     assert all("5" in text for text in witness["cut"])
 
 
-def test_unknown_when_flags_block_the_verdict(odometer):
-    g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, g0.nodes, ((), (0,)), (0,))
-    verdict, witness = chain_transitive(odometer, 1, graph=hand)
+def test_unknown_when_flags_block_the_verdict(ex57):
+    # y1 -> v1 -> v2 -> y2, whose top is flagged: the one closed class
+    hand = TowerGraph(ex57, 2, ((1,), (2,), (3,), ()), (3,))
+    verdict, witness = chain_transitive(ex57, 2, graph=hand)
     assert verdict == UNKNOWN
     assert witness == {"unresolved": 1, "checked_to": 2}
 
 
-def test_flagfree_cut_beats_flags(odometer):
+def test_flagfree_cut_beats_flags(ex57):
     # a flag elsewhere cannot save a certified flag-free closed cut
-    g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, g0.nodes, ((0,), ()), (1,))
-    verdict, witness = chain_transitive(odometer, 1, graph=hand)
+    hand = TowerGraph(ex57, 2, ((3,), (0,), (), (0,)), (2,))
+    verdict, witness = chain_transitive(ex57, 2, graph=hand)
     assert verdict == FAILS
-    assert witness["cut"] == ("1:root->v#1",)
+    assert witness["cut"] == ("1:root->y1#1|2:y1->y1#1",
+                              "1:root->y1#1|2:y1->y1#2",
+                              "1:root->y2#1|2:y2->y2#1",
+                              "1:root->y2#1|2:y2->y2#2")
 
 
 # -- Epsilon chains ----------------------------------------------------------
@@ -154,9 +174,9 @@ def test_epsilon_chain_across_the_odometer(odometer):
     chain = epsilon_chain(odometer, p, q)
     assert len(chain) == 8
     assert chain[0] == p and chain[-1] == q
-    g = cylinder_graph(odometer, 3)
+    tg = tower_graph(odometer, 3)
     for x, y in zip(chain, chain[1:]):
-        assert g.index[y] in g.out[g.index[x]]
+        assert tg.rank(y, "y") in tg[tg.rank(x, "x")]
 
 
 def test_epsilon_chain_trivial_and_errors(odometer, ex57):
@@ -180,9 +200,9 @@ def test_epsilon_chain_reports_unreachable(two_odometers):
 def test_chain_is_shortest(ex57):
     # BFS guarantee: no shorter chain exists between the same cylinders
     g = cylinder_graph(ex57, 2)
-    p = g.nodes[0]
-    dist = {g.index[p]: 0}
-    frontier = [g.index[p]]
+    tg = tower_graph(ex57, 2)
+    dist = {0: 0}
+    frontier = [0]
     while frontier:
         nxt = []
         for v in frontier:
@@ -191,20 +211,20 @@ def test_chain_is_shortest(ex57):
                     dist[w] = dist[v] + 1
                     nxt.append(w)
         frontier = nxt
-    for q in g.nodes:
-        chain = epsilon_chain(ex57, p, q, graph=g)
-        assert len(chain) == dist[g.index[q]] + 1
+    for v, q in enumerate(g.nodes):
+        chain = epsilon_chain(ex57, g.nodes[0], q, graph=tg)
+        assert len(chain) == dist[v] + 1
 
 
 # -- Saturation --------------------------------------------------------------
 
 def test_saturation_full_on_transitive_fixtures(ex57, odometer):
     for d in (ex57, odometer):
-        g = cylinder_graph(d, 2)
-        sets = saturation_sets(d, 2, graph=g)
+        tg = tower_graph(d, 2)
+        sets = saturation_sets(d, 2, graph=tg)
         assert set(sets) == set(range(1, d.k + 1))
         for s in sets.values():
-            assert len(s) == len(g)
+            assert len(s) == tg.size
 
 
 def test_saturation_splits_on_doubled_odometer(two_odometers):
@@ -232,7 +252,8 @@ def test_cover_from_bottom_of_odometer(odometer):
 
 def test_cover_of_everything_is_zero(odometer):
     g = cylinder_graph(odometer, 3)
-    assert cover_steps(odometer, list(g.nodes), graph=g) == 0
+    tg = tower_graph(odometer, 3)
+    assert cover_steps(odometer, list(g.nodes), graph=tg) == 0
 
 
 def test_cover_input_validation(odometer, ex57):
@@ -249,28 +270,33 @@ def test_cover_input_validation(odometer, ex57):
         cover_steps(ex57, [only_y1])
 
 
-def test_cover_rejects_flagged_graphs(odometer):
-    g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, g0.nodes, ((), (0,)), (0,))
+def test_cover_rejects_flagged_graphs(ex57):
+    hand = TowerGraph(ex57, 2, ((1,), (2,), (3,), ()), (3,))
+    mins = [extreme_path(ex57, v, 2, MIN) for v in ("y1", "y2")]
     with pytest.raises(DiagramError, match=r"^1 cylinders unresolved "
                        r"\(presentation checked to level 2\); sweep "
                        "counts would be unreliable$"):
-        cover_steps(odometer, [g0.nodes[0]], graph=hand)
-    with pytest.raises(DiagramError, match=r"at resolution 2\^-1 \(1 "
-                       r"cylinders unresolved, presentation checked to "
-                       r"level 2\)$"):
-        epsilon_chain(odometer, g0.nodes[0], g0.nodes[1], graph=hand)
+        cover_steps(ex57, mins, graph=hand)
+    # from y2 nothing leads back to y1: its top is the flagged one
+    with pytest.raises(DiagramError, match=r"^no chain from "
+                       r"1:root->y2#1\|2:y2->y2#1 to 1:root->y1#1\|"
+                       r"2:y1->y1#1 at resolution 2\^-2 \(1 cylinders "
+                       r"unresolved, presentation checked to level 2\)$"):
+        epsilon_chain(ex57, mins[1], mins[0], graph=hand)
 
 
-def test_cover_diverges_on_stalled_relation(odometer):
-    # two self-loops: the sweep never leaves the starting island
-    g0 = cylinder_graph(odometer, 1)
-    hand = CylinderGraph(1, g0.nodes, ((0,), (1,)), ())
-    res = cover_steps(odometer, [g0.nodes[0]], graph=hand)
-    assert isinstance(res, Diverges)
-    assert res.steps == 0
-    assert res.uncovered == ("1:root->v#2",)
-    assert "uncovered=1" in repr(res)
+def test_cover_diverges_on_stalled_relation(ex57):
+    # four self-loops: the sweeps never leave the y1 and y2 towers
+    hand = TowerGraph(ex57, 2, ((0,), (1,), (2,), (3,)), ())
+    v_floors = tuple(path_text(p) for v in ("v1", "v2")
+                     for p in enumerate_paths(ex57, v, 2))
+    for direction in ("forward", "backward"):
+        mins = [extreme_path(ex57, v, 2, MIN) for v in ("y1", "y2")]
+        res = cover_steps(ex57, mins, direction, graph=hand)
+        assert isinstance(res, Diverges)
+        assert res.steps == 1
+        assert res.uncovered == v_floors
+        assert "uncovered=10" in repr(res)
 
 
 def test_cover_meets_both_components(ex57):
@@ -279,7 +305,7 @@ def test_cover_meets_both_components(ex57):
     assert isinstance(steps, int) and steps >= 1
     # oracle: breadth-first layers from the same seed set
     g = cylinder_graph(ex57, 2)
-    covered = {g.index[p] for p in mins}
+    covered = {g.nodes.index(p) for p in mins}
     frontier, k = set(covered), 0
     while len(covered) < len(g):
         frontier = {w for v in frontier for w in g.out[v]} - covered
@@ -295,9 +321,9 @@ def test_pseudo_orbit_closes_through_base(odometer):
     orbit = pseudo_orbit(odometer, p)
     assert len(orbit) == 9
     assert orbit[0] == p and orbit[-1] == p
-    g = cylinder_graph(odometer, 3)
+    tg = tower_graph(odometer, 3)
     for x, y in zip(orbit, orbit[1:]):
-        assert g.index[y] in g.out[g.index[x]]
+        assert tg.rank(y, "y") in tg[tg.rank(x, "x")]
 
 
 def test_pseudo_orbit_on_mixed_tower(ex57):
@@ -312,3 +338,17 @@ def test_pseudo_orbit_requires_transitivity(two_odometers, five_vertex):
         p = make_path(d, d.vertices(2)[0], (0, 0))
         with pytest.raises(DiagramError, match="chain transitivity"):
             pseudo_orbit(d, p)
+
+
+def test_pseudo_orbit_needs_a_closed_chain():
+    # one cylinder and a hand-built relation with no step: nothing to
+    # cut, so Holds, yet no chain leaves the base and comes back
+    level = {"vertices": [{"id": "y", "class": {"minimal": 1}}],
+             "edges": [{"source": "root", "range": "y"}]}
+    d = parse_diagram(json.dumps({"kind": "bratteli", "k": 1,
+                                  "stationary": False, "levels": [level]}))
+    hand = TowerGraph(d, 1, ((),), ())
+    assert chain_transitive(d, 1, graph=hand)[0] == HOLDS
+    with pytest.raises(DiagramError, match="^no closed chain through "
+                       "1:root->y#1$"):
+        pseudo_orbit(d, make_path(d, "y", (0,)), graph=hand)

@@ -15,6 +15,9 @@ Core claims:
       the expansion, and without flags it says Holds exactly when every
       top steps and the towers are strongly connected
     - a Holds leaves every saturation size equal to the node count
+    - epsilon-chains, pseudo-orbits and covering sweeps, which walk the
+      floors of the tower graph as integers, equal a plain breadth-first
+      search and layered sweep over the expansion, errors included
 """
 
 import json
@@ -22,12 +25,14 @@ import random
 
 import pytest
 
-from bratteli import (HOLDS, CylinderGraph, DiagramError, TowerGraph,
-                      chain_transitive, cylinder_graph, enumerate_paths,
-                      parse_diagram, saturation_sets, saturation_sizes,
-                      tower_graph)
-from cylinder_oracle import (_reach, node_graph, node_saturation,
-                             node_verdict, recursive_paths, segments)
+from bratteli import (HOLDS, DiagramError, Diverges, TowerGraph,
+                      chain_transitive, cover_steps, cylinder_graph,
+                      enumerate_paths, epsilon_chain, parse_diagram,
+                      path_text, pseudo_orbit, saturation_sets,
+                      saturation_sizes, tower_graph)
+from cylinder_oracle import (_reach, node_class, node_families, node_graph,
+                             node_reverse, node_saturation, node_verdict,
+                             recursive_paths, segments)
 
 FIXTURES = ["ex57", "ex57_unordered", "ex82", "five_vertex", "odometer",
             "two_odometers"]
@@ -57,17 +62,15 @@ def _check_against_oracle(d, depth):
     want = node_verdict(d, ref)
     assert chain_transitive(d, depth, graph=tg) == want
     assert chain_transitive(d, depth) == want
-    assert chain_transitive(d, depth, graph=g) == want
     try:
         sets = node_saturation(d, ref)
     except DiagramError as exc:
         _same_error(lambda: saturation_sizes(d, depth, graph=tg), exc)
-        _same_error(lambda: saturation_sets(d, depth, graph=g), exc)
+        _same_error(lambda: saturation_sets(d, depth, graph=tg), exc)
         return "no cylinder"
     sizes = saturation_sizes(d, depth, graph=tg)
     assert sizes == {i: len(s) for i, s in sets.items()}
     assert saturation_sets(d, depth, graph=tg) == sets
-    assert saturation_sets(d, depth, graph=g) == sets
     if want[0] == HOLDS:
         # chain transitivity lets every cylinder chain into every class
         assert set(sizes.values()) == {tg.size}
@@ -142,7 +145,9 @@ def test_random_diagrams_match_oracle():
         if d is None:
             continue
         tried += 1
-        seen.add(_check_against_oracle(d, rng.choice((1, 2, 3))))
+        depth = rng.choice((1, 2, 3))
+        seen.add(_check_against_oracle(d, depth))
+        _check_path_queries(d, tower_graph(d, depth))
     assert seen >= {"Holds", "Fails", "Unknown", "no cylinder"}, seen
 
 
@@ -155,25 +160,30 @@ def _strongly_connected(out):
             and len(_reach(back, (0,))) == m)
 
 
-@pytest.mark.parametrize("fixture,depth", [("ex57", 2), ("five_vertex", 2),
-                                           ("ex82", 2)])
-def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
-    d = request.getfixturevalue(fixture)
-    base = tower_graph(d, depth)
-    m = len(base.vertices)
-    rng = random.Random("towers:%s:%d" % (fixture, depth))
-    seen = set()
+def _random_tower_graphs(d, depth, seed):
+    """300 tower graphs on the towers of d at this depth, with arbitrary
+    out-lists and flags: shapes tower_graph never builds too."""
+    m = len(d.vertices(depth))
+    rng = random.Random(seed)
     for _ in range(300):
         out = [rng.sample(range(m), rng.choice((0, 1, 1, 2, 2, 3)))
                for _ in range(m)]
         flagged = [t for t in range(m) if rng.random() < 0.15]
-        tg = TowerGraph(d, depth, base.vertices, base.heights, out, flagged)
+        yield out, TowerGraph(d, depth, out, flagged)
+
+
+@pytest.mark.parametrize("fixture,depth", [("ex57", 2), ("five_vertex", 2),
+                                           ("ex82", 2)])
+def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
+    d = request.getfixturevalue(fixture)
+    seen = set()
+    for out, tg in _random_tower_graphs(d, depth, "towers:%s:%d"
+                                        % (fixture, depth)):
         g = tg.expand()
         want = node_verdict(d, g)
         seen.add(want[0])
         assert chain_transitive(d, depth, graph=tg) == want
-        assert chain_transitive(d, depth, graph=g) == want
-        if not flagged:
+        if not tg.flagged:
             assert (want[0] == HOLDS) == _strongly_connected(out), out
         sets = node_saturation(d, g)
         sizes = saturation_sizes(d, depth, graph=tg)
@@ -181,17 +191,132 @@ def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
         assert saturation_sets(d, depth, graph=tg) == sets
         if want[0] == HOLDS:
             assert set(sizes.values()) == {tg.size}
+        _check_path_queries(d, tg)
     assert seen == {"Holds", "Fails", "Unknown"}
 
 
-def test_random_node_graphs_match_oracle(odometer):
-    nodes = cylinder_graph(odometer, 3).nodes
-    rng = random.Random("nodes")
-    for _ in range(300):
-        out = [rng.sample(range(8), rng.choice((0, 1, 1, 2))) for _ in nodes]
-        flagged = [v for v in range(8) if rng.random() < 0.1]
-        g = CylinderGraph(3, nodes, out, flagged)
-        assert chain_transitive(odometer, 3, graph=g) == \
-            node_verdict(odometer, g)
-        assert saturation_sets(odometer, 3, graph=g) == \
-            node_saturation(odometer, g)
+# -- Path-level queries against plain walks of the expansion -----------------
+
+def _bfs(out, starts, goal):
+    """Fewest-edge walk from a start to goal over out-edge lists, taking
+    them in order and keeping each node's first parent; None if none."""
+    parent = {}
+    queue = []
+    for s in starts:
+        if s not in parent:
+            parent[s] = None
+            queue.append(s)
+    for v in queue:
+        if v == goal:
+            walk = [v]
+            while parent[walk[-1]] is not None:
+                walk.append(parent[walk[-1]])
+            return walk[::-1]
+        for w in out[v]:
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def _sweep(adj, start, n):
+    """Layers of images from start until all n nodes are covered: the
+    layer count, or (layers, uncovered nodes) when a layer adds none."""
+    covered = set(start)
+    frontier = set(start)
+    steps = 0
+    while len(covered) < n:
+        frontier = {w for v in frontier for w in adj[v]} - covered
+        if not frontier:
+            return steps, sorted(set(range(n)) - covered)
+        covered |= frontier
+        steps += 1
+    return steps
+
+
+def _expect(call, want):
+    """call() returns want, or raises DiagramError with message want."""
+    if isinstance(want, str):
+        _same_error(call, want)
+    else:
+        assert call() == want
+
+
+def _want_cover(d, g, fams, start, adj):
+    if g.flagged:
+        return ("%d cylinders unresolved (presentation checked to level "
+                "%d); sweep counts would be unreliable"
+                % (len(g.flagged), d.depth))
+    if isinstance(fams, str):
+        return fams
+    met = {node_class(d, g.nodes[v]) for v in start}
+    for i in sorted(fams):
+        if i not in met:
+            return "covering set misses every cylinder of component %d" % i
+    return _sweep(adj, start, len(g.nodes))
+
+
+def _check_path_queries(d, tg):
+    """epsilon_chain, pseudo_orbit and cover_steps on the tower graph
+    equal a plain BFS and layered sweep over its expansion."""
+    g = tg.expand()
+    nodes, n = g.nodes, len(g.nodes)
+    picks = sorted(set(range(0, n, max(1, n // 6))) | {n - 1})
+    unresolved = ("" if not g.flagged
+                  else " (%d cylinders unresolved, presentation checked to "
+                  "level %d)" % (len(g.flagged), d.depth))
+    for s in picks:
+        for t in picks:
+            walk = _bfs(g.out, (s,), t)
+            want = ("no chain from %s to %s at resolution 2^-%d%s"
+                    % (path_text(nodes[s]), path_text(nodes[t]), g.depth,
+                       unresolved) if walk is None
+                    else [nodes[v] for v in walk])
+            _expect(lambda: epsilon_chain(d, nodes[s], nodes[t], graph=tg),
+                    want)
+    verdict = node_verdict(d, g)[0]
+    for s in picks:
+        if verdict != HOLDS:
+            want = ("pseudo-orbits need chain transitivity at this "
+                    "resolution, got %s" % verdict)
+        else:
+            walk = _bfs(g.out, g.out[s], s)
+            want = ("no closed chain through %s" % path_text(nodes[s])
+                    if walk is None else [nodes[s]] + [nodes[v] for v in walk])
+        _expect(lambda: pseudo_orbit(d, nodes[s], graph=tg), want)
+    try:
+        fams = node_families(d, g)
+        sets = [[fam[0] for fam in fams.values()],
+                [fam[-1] for fam in fams.values()] + picks[:2]]
+    except DiagramError as exc:
+        fams = str(exc)
+        sets = []
+    sets += [[s] for s in picks] + [list(range(n))]
+    for adj, direction in ((g.out, "forward"),
+                           (node_reverse(g), "backward")):
+        for start in sets:
+            want = _want_cover(d, g, fams, start, adj)
+            if isinstance(want, tuple):
+                steps, left = want
+                res = cover_steps(d, [nodes[v] for v in start], direction,
+                                  graph=tg)
+                assert isinstance(res, Diverges)
+                assert res.steps == steps
+                assert res.uncovered == tuple(path_text(nodes[v])
+                                              for v in left)
+            else:
+                _expect(lambda: cover_steps(d, [nodes[v] for v in start],
+                                            direction, graph=tg), want)
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_path_queries_match_plain_walks_of_the_expansion(request, fixture):
+    d = request.getfixturevalue(fixture)
+    for depth in range(1, 5):
+        _check_path_queries(d, tower_graph(d, depth))
+
+
+def test_corpus_path_queries_match_plain_walks_of_the_expansion(fuzz_corpus):
+    for name, d, _ in fuzz_corpus[::5]:
+        for depth in range(1, 4):
+            _check_path_queries(d, tower_graph(d, depth))

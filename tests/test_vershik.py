@@ -24,7 +24,6 @@ from bratteli import (
     Path,
     enumerate_paths,
     extreme_path,
-    inverse_step,
     make_path,
     orbit,
     predecessor,
@@ -195,20 +194,6 @@ def test_step_wraps_trunk_top_to_minimal_window(odometer):
     img = vershik_step(odometer, top)
     assert not img.unresolved
     assert img.targets == frozenset([extreme_path(odometer, "v", 3, MIN)])
-    back = inverse_step(odometer, extreme_path(odometer, "v", 3, MIN))
-    assert back.targets == frozenset([top])
-
-
-def test_step_images_partition_by_inverse(ex57):
-    """Every resolved forward target must list the window among its
-    inverse-step images; the two set-valued maps are transposes."""
-    for v in ex57.vertices(2):
-        for p in enumerate_paths(ex57, v, 2):
-            img = vershik_step(ex57, p)
-            assert not img.unresolved
-            for q in img.targets:
-                back = inverse_step(ex57, q)
-                assert p in back.targets
 
 
 def test_maximal_vo_window_lands_on_min_windows(ex57):
