@@ -12,7 +12,7 @@ from ._report import (FAILS, HOLDS, UNKNOWN, Check, DiagramError,
 from .diagram import (DEFAULT_BUDGET, Diagram, Level, load_diagram,
                       parse_diagram, telescope, validate_unordered)
 from .dynamics import (CylinderGraph, Diverges, TowerGraph, chain_transitive,
-                       cover_steps, cylinder_graph, epsilon_chain, path_text,
+                       cover_steps, cylinder_graph, epsilon_chain,
                        pseudo_orbit, saturation_sets, saturation_sizes,
                        tower_graph)
 from .ktheory import (IndexSet, bounded_norm_membership,
@@ -21,7 +21,7 @@ from .ktheory import (IndexSet, bounded_norm_membership,
                       rational_rank_lower_bound)
 from .order import (MAX, MIN, ExtremeChains, MarkerTable, Path,
                     enumerate_paths, extreme_chains, extreme_path, make_path,
-                    marker_level, pointer_map, validate_ordered)
+                    marker_level, path_text, pointer_map, validate_ordered)
 from .realize import (DVectors, Multigraph, NoWalk, euler_walk,
                       graphs_from_dvectors, load_dvectors, parse_dvectors,
                       synthesize_order)
@@ -29,7 +29,7 @@ from .transgraph import (TransitionGraph, check_structure, dvector_matrix,
                          dvectors, index_pushforward, lift_edge_to_path,
                          other_block, transition_graph)
 from .vershik import (KRPartition, Maximal, Minimal, StepImage, orbit,
-                      predecessor, successor, tower, towers,
+                      predecessor, successor, towers,
                       traversal_matrix, vershik_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

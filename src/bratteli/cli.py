@@ -19,12 +19,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii as _ascii
 
 from ._report import FAILS, HOLDS, DiagramError, ValidationReport, worst
 from .diagram import (DEFAULT_BUDGET, _read_json, load_diagram, telescope,
                       validate_unordered)
 from .dynamics import (Diverges, chain_transitive, cover_steps,
-                       cylinder_graph, epsilon_chain, path_text, pseudo_orbit,
+                       cylinder_graph, epsilon_chain, pseudo_orbit,
                        saturation_sizes, tower_graph)
 from .ktheory import (bounded_norm_membership, check_index_relations,
                       class_is_zero, index_elements, is_positive, pushforward,
@@ -52,16 +54,44 @@ def _budget(args):
 
 
 def _emit(text, args):
+    """Write text to -o FILE or stdout.  A JSON document (anything but a
+    str) is written as ``json.dumps(doc, indent=2, default=str)`` plus a
+    newline would be, piece by piece instead of as one string."""
     out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
+    with open(out, "w") if out else nullcontext(sys.stdout) as fh:
+        if isinstance(text, str):
             fh.write(text)
+        else:
+            _write_json(text, fh.write, "\n")
+            fh.write("\n")
+
+
+def _write_json(obj, write, indent):
+    # strings are escaped as json escapes them and containers laid out as
+    # indent=2 lays them out; every other leaf and key goes to json.dumps
+    if isinstance(obj, str):
+        write(_ascii(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        write(json.dumps(obj, default=str))
+    elif not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
     else:
-        sys.stdout.write(text)
-
-
-def _dump(obj):
-    return json.dumps(obj, indent=2, default=str) + "\n"
+        inner = indent + "  "
+        keyed = isinstance(obj, dict)
+        sep = "{" if keyed else "["
+        for item in obj:
+            head = sep + inner
+            if keyed:
+                head += _ascii(item if isinstance(item, str)
+                               else json.dumps(item, default=str)) + ": "
+                item = obj[item]
+            if isinstance(item, str):
+                write(head + _ascii(item))
+            else:
+                write(head)
+                _write_json(item, write, inner)
+            sep = ","
+        write(indent + ("}" if keyed else "]"))
 
 
 def _exit_for(overall, args):
@@ -107,7 +137,7 @@ def cmd_validate(args):
         body = "\n".join(_report_lines(rep) + ["overall: %s" % rep.overall()])
         _emit(body + "\n", args)
     else:
-        _emit(_dump(rep.to_json()), args)
+        _emit(rep.to_json(), args)
     return _exit_for(rep.overall(), args)
 
 
@@ -121,48 +151,45 @@ def cmd_telescope(args):
     if args.format == "text":
         _emit(out.to_text(), args)
     else:
-        _emit(_dump(out.to_json()), args)
+        _emit(out.to_json(), args)
     return 0
 
 
 def cmd_towers(args):
     d = load_diagram(args.diagram)
     part = towers(d, args.level)
+    floors = {v: part.tower(v, text=True) for v in part.vertices}
     if args.format == "text":
         lines = []
         for v in part.vertices:
-            floors = part.tower(v)
-            lines.append("%s (height %d)" % (v, len(floors)))
-            lines.extend("  %s" % path_text(p) for p in floors)
+            lines.append("%s (height %d)" % (v, len(floors[v])))
+            lines.extend("  " + f for f in floors[v])
         _emit("\n".join(lines) + "\n", args)
     else:
-        doc = {"level": part.level,
-               "towers": [{"vertex": v,
-                           "height": len(part.tower(v)),
-                           "floors": [path_text(p) for p in part.tower(v)]}
-                          for v in part.vertices]}
-        _emit(_dump(doc), args)
+        _emit({"level": part.level,
+               "towers": [{"vertex": v, "height": len(floors[v]),
+                           "floors": floors[v]} for v in part.vertices]},
+              args)
     return 0
 
 
 def cmd_orbit(args):
     d = load_diagram(args.diagram)
     p = _parse_path(d, args.start)
-    paths, terminal = orbit(d, p, args.steps, reverse=args.reverse)
+    paths, terminal = orbit(d, p, args.steps, reverse=args.reverse,
+                            text=True)
     stop = None
     if terminal is not None:
         stop = {"kind": "maximal" if isinstance(terminal, Maximal)
                 else "minimal",
                 "component": terminal.component}
     if args.format == "text":
-        lines = [path_text(q) for q in paths]
         if stop is not None:
-            lines.append("stopped: %s(%s)" % (stop["kind"],
+            paths.append("stopped: %s(%s)" % (stop["kind"],
                                               stop["component"]))
-        _emit("\n".join(lines) + "\n", args)
+        _emit("\n".join(paths) + "\n", args)
     else:
-        _emit(_dump({"paths": [path_text(q) for q in paths],
-                     "terminal": stop}), args)
+        _emit({"paths": paths, "terminal": stop}, args)
     return 0
 
 
@@ -196,7 +223,7 @@ def cmd_transition_graphs(args):
                          for v, i, j in g.edges)
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(_dump([g.to_json() for g in graphs]), args)
+        _emit([g.to_json() for g in graphs], args)
     return 0
 
 
@@ -212,7 +239,7 @@ def cmd_index(args):
                             ", ".join(s.vertices)))
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(_dump(s.to_json()), args)
+        _emit(s.to_json(), args)
     return 0
 
 
@@ -235,7 +262,7 @@ def cmd_check_index(args):
         lines.append("overall: %s" % overall)
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit(_dump(doc), args)
+        _emit(doc, args)
     return _exit_for(overall, args)
 
 
@@ -246,7 +273,7 @@ def cmd_synthesize(args):
     if args.format == "text":
         _emit(out.to_text(), args)
     else:
-        _emit(_dump(out.to_json()), args)
+        _emit(out.to_json(), args)
     return 0
 
 
@@ -271,20 +298,20 @@ def cmd_chain(args):
                          for i, size in sorted(sat.items()))
             _emit("\n".join(lines) + "\n", args)
         else:
-            _emit(_dump(doc), args)
+            _emit(doc, args)
         return _exit_for(verdict, args)
     p = _parse_path(d, args.start)
     if args.closed:
-        walk = pseudo_orbit(d, p)
+        walk = pseudo_orbit(d, p, text=True)
     else:
         if args.end is None:
             raise DiagramError("chain needs an end path unless --closed")
         q = _parse_path(d, args.end)
-        walk = epsilon_chain(d, p, q)
+        walk = epsilon_chain(d, p, q, text=True)
     if args.format == "text":
-        _emit("\n".join(path_text(x) for x in walk) + "\n", args)
+        _emit("\n".join(walk) + "\n", args)
     else:
-        _emit(_dump([path_text(x) for x in walk]), args)
+        _emit(walk, args)
     return 0
 
 
@@ -325,7 +352,7 @@ def cmd_cover(args):
         else:
             _emit("%d\n" % res, args)
     else:
-        _emit(_dump(doc), args)
+        _emit(doc, args)
     return code
 
 
@@ -366,7 +393,7 @@ def cmd_kpush(args):
                                                doc["pushforward"]["vector"])))
         _emit("\n".join(lines + _report_lines(rep)) + "\n", args)
     else:
-        _emit(_dump(doc), args)
+        _emit(doc, args)
     return _exit_for(rep.overall(), args)
 
 
@@ -402,7 +429,6 @@ def _build_parser():
                     help="extra levels to search (default BDK_BUDGET or 10)")
     sp.add_argument("--strict", action="store_true",
                     help="treat Unknown as failure")
-    sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("telescope", help="contract to a subsequence of "
                         "levels")
@@ -410,13 +436,11 @@ def _build_parser():
     sp.add_argument("--levels", required=True,
                     help="comma list of retained levels starting at the "
                     "root, e.g. 0,1,3")
-    sp.set_defaults(func=cmd_telescope)
 
     sp = sub.add_parser("towers", help="print the Kakutani-Rokhlin towers "
                         "of one level")
     _add_common(sp)
     sp.add_argument("--level", type=int, default=1)
-    sp.set_defaults(func=cmd_towers)
 
     sp = sub.add_parser("orbit", help="iterate the successor map from a "
                         "path")
@@ -426,35 +450,30 @@ def _build_parser():
     sp.add_argument("--steps", type=_count, required=True)
     sp.add_argument("--reverse", action="store_true",
                     help="iterate the predecessor map instead")
-    sp.set_defaults(func=cmd_orbit)
 
     sp = sub.add_parser("transition-graphs", help="the graphs L_n read off "
                         "the markers")
     _add_common(sp, fmt=("json", "text", "dot"))
     sp.add_argument("--level", type=int, default=None,
                     help="one level only (default: every resolvable level)")
-    sp.set_defaults(func=cmd_transition_graphs)
 
     sp = sub.add_parser("index", help="index vectors of the remainder "
                         "vertices")
     _add_common(sp)
     sp.add_argument("--level", type=int, default=None,
                     help="level to read (default: first resolvable)")
-    sp.set_defaults(func=cmd_index)
 
     sp = sub.add_parser("check-index", help="relations, rank and transport "
                         "of the index vectors")
     _add_common(sp)
     sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--strict", action="store_true")
-    sp.set_defaults(func=cmd_check_index)
 
     sp = sub.add_parser("synthesize", help="order an unordered diagram from "
                         "prescribed d-vectors")
     _add_common(sp)
     sp.add_argument("--d", required=True, metavar="FILE",
                     help="d-vector JSON file")
-    sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("chain", help="epsilon-chains between cylinders, "
                         "or the transitivity report")
@@ -466,7 +485,6 @@ def _build_parser():
     sp.add_argument("--depth", type=int, default=None,
                     help="cylinder depth for the transitivity report")
     sp.add_argument("--strict", action="store_true")
-    sp.set_defaults(func=cmd_chain)
 
     sp = sub.add_parser("cover", help="steps until the sweep of a cylinder "
                         "set covers everything")
@@ -478,7 +496,6 @@ def _build_parser():
                     help="cylinder depth for the default set")
     sp.add_argument("--direction", choices=("forward", "backward"),
                     default="forward")
-    sp.set_defaults(func=cmd_cover)
 
     sp = sub.add_parser("kpush", help="transport a K-theory vector and "
                         "test its class")
@@ -498,15 +515,21 @@ def _build_parser():
                     help="test membership in the norm-M bounded part")
     sp.add_argument("--budget", type=_count, default=None)
     sp.add_argument("--strict", action="store_true")
-    sp.set_defaults(func=cmd_kpush)
 
     return ap
 
 
+_parser = None
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    # built once: parsing leaves no state in it, each call gets new args
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except DiagramError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -104,18 +104,23 @@ class Diagram:
         return [len(lev.fibers[v]) for v in lev.ids]
 
     def incidence(self, n):
-        """Integer matrix of the transition level n -> n+1.
+        """Integer matrix of the transition level n -> n+1, as tuples.
 
         Rows follow the listing order of level n+1, columns of level n.
+        Built once per level; the stationary tail shares one entry.
         """
-        lo = self.level(n)
-        hi = self.level(n + 1)
-        mat = [[0] * len(lo.ids) for _ in hi.ids]
-        for ri, v in enumerate(hi.ids):
-            for s in hi.fibers[v]:
-                if s == ROOT:
-                    continue  # synthetic connection, carries no multiplicity
-                mat[ri][lo.index[s]] += 1
+        key = ("incidence", min(n, self.depth))
+        mat = self._memo.get(key)
+        if mat is None:
+            lo = self.level(n)
+            hi = self.level(n + 1)
+            rows = [[0] * len(lo.ids) for _ in hi.ids]
+            for ri, v in enumerate(hi.ids):
+                for s in hi.fibers[v]:
+                    if s == ROOT:
+                        continue  # synthetic connection, no multiplicity
+                    rows[ri][lo.index[s]] += 1
+            mat = self._memo[key] = tuple(tuple(row) for row in rows)
         return mat
 
     def path_counts(self, n):

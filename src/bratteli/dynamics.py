@@ -33,18 +33,8 @@ from bisect import bisect_right
 from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
-from .order import MAX, Path, enumerate_paths, extreme_path
+from .order import MAX, Path, enumerate_paths, extreme_path, path_text
 from .vershik import vershik_step
-
-
-def path_text(p):
-    """Render a path as pipe-joined edges, ranks counted from one."""
-    bits = []
-    src = "root"
-    for lvl, (v, r) in enumerate(zip(p.verts, p.ranks), start=1):
-        bits.append("%d:%s->%s#%d" % (lvl, src, v, r + 1))
-        src = v
-    return "|".join(bits)
 
 
 class TowerGraph:
@@ -141,13 +131,22 @@ class TowerGraph:
             ranks.append(r)
         return Path(verts[-2::-1], ranks[::-1])
 
-    def floors(self, t):
-        """The cylinders of tower t, ground floor first."""
-        return enumerate_paths(self.diagram, self.vertices[t], self.depth)
+    def paths(self, floors, text=False):
+        """The cylinders (``path_text`` if ``text``) on a sequence of
+        floors: a ``path`` and a walk up each run of one tower's floors."""
+        walk = nxt = end = None
+        for v in floors:
+            if v != nxt or v == end:
+                end = self.ground[bisect_right(self.ground, v)]
+                p = self.path(v)
+                walk = enumerate_paths(self.diagram, p.end, self.depth,
+                                       start=p, text=text)
+            nxt = v + 1
+            yield next(walk)
 
     def expand(self):
         """The CylinderGraph drawing this quotient, one node per floor."""
-        nodes = [p for t in range(len(self.vertices)) for p in self.floors(t)]
+        nodes = list(self.paths(range(self.size)))
         out = [self[v] for v in range(self.size)]
         flagged = [self.ground[t + 1] - 1 for t in self.flagged]
         return CylinderGraph(self.depth, nodes, out, flagged)
@@ -262,16 +261,25 @@ def _analyze(g):
     verdict, cut = _decide(g)
     if verdict == FAILS:
         towers, top_only = cut
-        if top_only:
-            paths = [g.path(g.ground[towers[0] + 1] - 1)]
-        else:
-            paths = [p for t in towers for p in g.floors(t)]
-        return verdict, {"cut_size": len(paths),
-                         "cut": tuple(path_text(p) for p in paths)}
+        floors = ((g.ground[towers[0] + 1] - 1,) if top_only else
+                  (v for t in towers for v in range(g.ground[t],
+                                                    g.ground[t + 1])))
+        cut = tuple(g.paths(floors, text=True))
+        return verdict, {"cut_size": len(cut), "cut": cut}
     if verdict == UNKNOWN:
         return verdict, {"unresolved": len(g.flagged),
-                         "checked_to": g.diagram.depth}
+                         "checked_to": g.diagram.depth,
+                         "reason": _flag_reason(g)[0]}
     return verdict, {"nodes": g.size, "resolution": g.depth}
+
+
+def _flag_reason(g):
+    """Why a tower graph has flagged tops, as witnesses and errors say it."""
+    if g.diagram.stationary:
+        # a continuation maximal forever has no z_{i,min} to wrap to
+        return "extreme_chains", "extreme chains fail"
+    return ("presentation_end",
+            "presentation checked to level %d" % g.diagram.depth)
 
 
 def chain_transitive(d, depth, graph=None):
@@ -283,12 +291,12 @@ def chain_transitive(d, depth, graph=None):
     return _analyze(graph if graph is not None else tower_graph(d, depth))
 
 
-def epsilon_chain(d, p, q, graph=None):
+def epsilon_chain(d, p, q, graph=None, text=False):
     """Shortest chain of cylinders from p to q, both of one depth.
 
     Consecutive entries x, y satisfy d(step(x), y) < 2^-N pointwise, so
     the returned list is an epsilon-chain of the dynamics.  Equal ends
-    give the one-element chain.
+    give the one-element chain.  ``text`` lists them as ``path_text``.
     """
     if p.depth != q.depth:
         raise DiagramError("chain endpoints must share a depth")
@@ -297,10 +305,9 @@ def epsilon_chain(d, p, q, graph=None):
     dst = g.rank(q, "chain target")
     chain = shortest_path(g, (src,), dst)
     if chain is not None:
-        return [g.path(v) for v in chain]
-    extra = ("" if not g.flagged
-             else " (%d cylinders unresolved, presentation checked to "
-             "level %d)" % (len(g.flagged), d.depth))
+        return list(g.paths(chain, text))
+    extra = ("" if not g.flagged else " (%d cylinders unresolved, %s)"
+             % (len(g.flagged), _flag_reason(g)[1]))
     raise DiagramError("no chain from %s to %s at resolution 2^-%d%s"
                        % (path_text(p), path_text(q), g.depth, extra))
 
@@ -386,8 +393,8 @@ def saturation_sets(d, depth, graph=None):
     so each set is listed from the per-tower counts.
     """
     g = graph if graph is not None else tower_graph(d, depth)
-    return {i: frozenset(p for t, c in enumerate(counts) if c
-                         for _, p in zip(range(c), g.floors(t)))
+    return {i: frozenset(g.paths(v for t, c in enumerate(counts)
+                                 for v in range(g.ground[t], g.ground[t] + c)))
             for i, counts in _saturation(g).items()}
 
 
@@ -424,9 +431,9 @@ def cover_steps(d, cylinders, direction="forward", graph=None):
         raise DiagramError("direction must be forward or backward")
     g = graph if graph is not None else tower_graph(d, depth)
     if g.flagged:
-        raise DiagramError("%d cylinders unresolved (presentation checked "
-                           "to level %d); sweep counts would be unreliable"
-                           % (len(g.flagged), d.depth))
+        raise DiagramError("%d cylinders unresolved (%s); sweep counts "
+                           "would be unreliable"
+                           % (len(g.flagged), _flag_reason(g)[1]))
     start = {g.rank(p, "covering cylinder") for p in cyls}
     met = {_inside(d, p) for p in cyls}
     for i in sorted(_class_floors(g)):
@@ -441,18 +448,19 @@ def cover_steps(d, cylinders, direction="forward", graph=None):
         nxt = {w for v in frontier for w in step(v)} - covered
         if not nxt:
             left = sorted(set(range(g.size)) - covered)
-            return Diverges(steps, (path_text(g.path(v)) for v in left))
+            return Diverges(steps, g.paths(left, text=True))
         covered |= nxt
         frontier = nxt
         steps += 1
     return steps
 
 
-def pseudo_orbit(d, p, graph=None):
+def pseudo_orbit(d, p, graph=None, text=False):
     """Shortest closed chain of cylinders through p.
 
     Only meaningful on chain transitive systems, so anything less than
-    a Holds verdict at this resolution is rejected.
+    a Holds verdict at this resolution is rejected.  ``text`` lists the
+    cylinders as ``path_text``.
     """
     g = graph if graph is not None else tower_graph(d, p.depth)
     verdict, _ = _decide(g)
@@ -462,5 +470,5 @@ def pseudo_orbit(d, p, graph=None):
     src = g.rank(p, "orbit base")
     chain = shortest_path(g, g[src], src)
     if chain is not None:
-        return [p] + [g.path(v) for v in chain]
+        return list(g.paths([src] + chain, text))
     raise DiagramError("no closed chain through %s" % path_text(p))

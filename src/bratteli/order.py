@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ._report import (FAILS, HOLDS, UNKNOWN, DiagramError,
                       ValidationReport, worst)
-from .diagram import DEFAULT_BUDGET, OTHER, _k_simple_check
+from .diagram import DEFAULT_BUDGET, OTHER, ROOT, _k_simple_check
 
 MIN = "min"
 MAX = "max"
@@ -89,36 +89,47 @@ def extreme_path(d, end, depth, kind):
     return Path(verts, ranks)
 
 
-def enumerate_paths(d, end, depth):
-    """Yield the paths into ``end`` in ascending lex order.
+def path_text(p):
+    """Render a path as pipe-joined edges, ranks counted from one."""
+    return "|".join(_segment(p.verts, p.ranks, j) for j in range(p.depth))
 
-    Runs like an odometer: start from the fiber-minimal path, then bump
-    the shallowest edge that is not fiber-maximal and refill every level
-    above it minimally.  No recursion, so any depth works.
+
+def _segment(verts, ranks, j):
+    return "%d:%s->%s#%d" % (j + 1, verts[j - 1] if j else ROOT, verts[j],
+                             ranks[j] + 1)
+
+
+def enumerate_paths(d, end, depth, start=None, reverse=False, text=False):
+    """Yield the paths into ``end`` in lex order (descending if
+    ``reverse``) from ``start``, by default the first one, as Paths or as
+    their ``path_text`` if ``text``.
+
+    Runs like an odometer: bump the shallowest edge not at the far end of
+    its fiber, refill the levels below it from the near end.  Rendered
+    edges are kept, so a bump at level j renders levels 1..j again only.
+    No recursion, so any depth works.
     """
     if depth < 1:
         raise DiagramError("level index %d out of range" % depth)
     fibers = [d.level(lvl).fibers for lvl in range(1, depth + 1)]
-    verts = [None] * depth
-    ranks = [0] * depth
-    verts[depth - 1] = end
-
-    def refill(j):
-        # levels 1..j take the minimal edges below the edge chosen at j+1
-        for lvl in range(j, 0, -1):
-            verts[lvl - 1] = fibers[lvl][verts[lvl]][ranks[lvl]]
-            ranks[lvl - 1] = 0
-
-    refill(depth - 1)
+    if start is None:
+        start = extreme_path(d, end, depth, MAX if reverse else MIN)
+    verts, ranks = list(start.verts), list(start.ranks)
+    segs = [_segment(verts, ranks, j) for j in range(depth)] if text else ()
     while True:
-        yield Path(verts, ranks)
-        for j in range(depth):
-            if ranks[j] < len(fibers[j][verts[j]]) - 1:
+        yield "|".join(segs) if text else Path(verts, ranks)
+        for j, r in enumerate(ranks):
+            if (r > 0 if reverse else r < len(fibers[j][verts[j]]) - 1):
                 break
         else:
             return
-        ranks[j] += 1
-        refill(j)
+        ranks[j] += -1 if reverse else 1
+        for lvl in range(j, 0, -1):
+            # the levels below j take the near-end edges under it
+            src = verts[lvl - 1] = fibers[lvl][verts[lvl]][ranks[lvl]]
+            ranks[lvl - 1] = len(fibers[lvl - 1][src]) - 1 if reverse else 0
+        if text:
+            segs[:j + 1] = [_segment(verts, ranks, i) for i in range(j + 1)]
 
 
 def pointer_map(d, n, kind):

@@ -10,129 +10,82 @@ extensions land after the increment happens further up.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .order import (MAX, MIN, Path, _breaks, _chains, _landings,
                     enumerate_paths, extreme_path)
 
 
-class Maximal:
+class _Extreme:
+    """What Maximal and Minimal share but the constructor, counted apart."""
+
+    __slots__ = ("component",)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.component == other.component
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.component))
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.component)
+
+
+class Maximal(_Extreme):
     """Top floor marker; component i when the path truncates z_{i,max}."""
 
-    __slots__ = ("component",)
+    __slots__ = ()
 
     def __init__(self, component=None):
         self.component = component
 
-    def __eq__(self, other):
-        return isinstance(other, Maximal) and self.component == other.component
 
-    def __hash__(self):
-        return hash(("max", self.component))
-
-    def __repr__(self):
-        return "Maximal(%r)" % (self.component,)
-
-
-class Minimal:
+class Minimal(_Extreme):
     """Ground floor marker; component i when the path truncates z_{i,min}."""
 
-    __slots__ = ("component",)
+    __slots__ = ()
 
     def __init__(self, component=None):
         self.component = component
-
-    def __eq__(self, other):
-        return isinstance(other, Minimal) and self.component == other.component
-
-    def __hash__(self):
-        return hash(("min", self.component))
-
-    def __repr__(self):
-        return "Minimal(%r)" % (self.component,)
-
-
-def _first_movable(d, p, direction):
-    for j in range(p.depth):
-        fib = d.fiber(j + 1, p.verts[j])
-        if direction == MAX:
-            if p.ranks[j] < len(fib) - 1:
-                return j
-        else:
-            if p.ranks[j] > 0:
-                return j
-    return None
-
-
-def _identify_extreme(d, p, kind):
-    chains = _chains(d, kind)
-    n = p.depth
-    if chains.certain(n):
-        for i in range(1, d.k + 1):
-            if chains.vertex(i, n) == p.end:
-                return i
-    return None
-
-
-def _move(d, p, direction):
-    """One lex step toward the ``direction`` end of p's tower.
-
-    Moves the shallowest edge that is not at that end of its fiber one
-    place and refills every level below it from the opposite end.  A
-    path with no such edge is the tower's extreme floor in that direction.
-    """
-    j = _first_movable(d, p, direction)
-    if j is None:
-        end = Maximal if direction == MAX else Minimal
-        return end(_identify_extreme(d, p, direction))
-    new_rank = p.ranks[j] + (1 if direction == MAX else -1)
-    if j == 0:
-        head_verts, head_ranks = (), ()
-    else:
-        src = d.fiber(j + 1, p.verts[j])[new_rank]
-        head = extreme_path(d, src, j, MIN if direction == MAX else MAX)
-        head_verts, head_ranks = head.verts, head.ranks
-    return Path(head_verts + p.verts[j:],
-                head_ranks + (new_rank,) + p.ranks[j + 1:])
 
 
 def successor(d, p):
     """Next path in lex order with the same range, or a Maximal marker.
 
-    ``Maximal(i)`` says the path is the depth-N truncation of z_{i,max};
-    ``Maximal(None)`` says it is fiber-maximal but tops no canonical chain
-    (or the chain cannot be pinned down from the presentation).
+    One step of the floor walker.  ``Maximal(i)`` says the path is the
+    depth-N truncation of z_{i,max}; ``Maximal(None)`` says it is
+    fiber-maximal but tops no canonical chain (or the chain cannot be
+    pinned down from the presentation).
     """
-    return _move(d, p, MAX)
+    paths, top = orbit(d, p, 1)
+    return top or paths[1]
 
 
 def predecessor(d, p):
     """Previous path in lex order, or a Minimal marker."""
-    return _move(d, p, MIN)
+    paths, ground = orbit(d, p, 1, reverse=True)
+    return ground or paths[1]
 
 
 class KRPartition:
-    """All towers of one level; floor j+1 is the successor of floor j."""
+    """All towers of one level, each listed when asked for."""
 
-    __slots__ = ("level", "vertices", "floors")
+    __slots__ = ("diagram", "level", "vertices")
 
-    def __init__(self, level, vertices, floors):
+    def __init__(self, diagram, level):
+        self.diagram = diagram
         self.level = level
-        self.vertices = tuple(vertices)
-        self.floors = floors
+        self.vertices = diagram.vertices(level)
 
-    def tower(self, v):
-        return self.floors[v]
+    def tower(self, v, text=False):
+        """Floors of the tower over v, ground first: the paths into v in
+        lex order (``path_text`` if ``text``)."""
+        return list(enumerate_paths(self.diagram, v, self.level, text=text))
 
 
 def towers(d, n):
     """The Kakutani-Rokhlin partition at level n, one tower per vertex."""
-    vs = d.vertices(n)
-    return KRPartition(n, vs, {v: tower(d, v, n) for v in vs})
-
-
-def tower(d, v, depth):
-    """Floors of the tower over v, ground first: the paths into v in lex
-    order, so each floor's successor is the next one."""
-    return list(enumerate_paths(d, v, depth))
+    return KRPartition(d, n)
 
 
 def traversal_matrix(d, n):
@@ -150,7 +103,7 @@ def traversal_matrix(d, n):
         for p in enumerate_paths(d, v, n + 1):
             if all(rk == 0 for rk in p.ranks[:n]):
                 mat[r][col[p.verts[n - 1]]] += 1
-    return mat
+    return tuple(map(tuple, mat))
 
 
 class StepImage:
@@ -203,18 +156,22 @@ def vershik_step(d, p):
                      unresolved)
 
 
-def orbit(d, p, steps, reverse=False):
+def orbit(d, p, steps, reverse=False, text=False):
     """Iterate the successor (or predecessor) map from p.
 
-    Returns (paths, terminal): paths starts with p; terminal is the
-    Maximal or Minimal marker that stopped the walk early, else None.
+    Returns (paths, terminal): paths starts with p (each ``path_text`` if
+    ``text``); terminal is the Maximal (Minimal) marker of the tower's top
+    (ground) floor where the walk stopped early, else None.
     """
-    move = predecessor if reverse else successor
-    out = [p]
-    cur = p
-    for _ in range(steps):
-        cur = move(d, cur)
-        if not isinstance(cur, Path):
-            return out, cur
-        out.append(cur)
-    return out, None
+    paths = list(islice(enumerate_paths(d, p.end, p.depth, start=p,
+                                        reverse=reverse, text=text),
+                        steps + 1))
+    if len(paths) > steps:
+        return paths, None
+    kind, mark = (MIN, Minimal) if reverse else (MAX, Maximal)
+    chains = _chains(d, kind)
+    if chains.certain(p.depth):
+        for i in range(1, d.k + 1):
+            if chains.vertex(i, p.depth) == p.end:
+                return paths, mark(i)
+    return paths, mark(None)

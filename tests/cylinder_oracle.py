@@ -190,8 +190,19 @@ def node_verdict(d, g):
                        "cut": tuple(path_text(g.nodes[v]) for v in cut)}
     if g.flagged:
         return UNKNOWN, {"unresolved": len(g.flagged),
-                         "checked_to": d.depth}
+                         "checked_to": d.depth,
+                         "reason": flag_cause(d)[0]}
     return HOLDS, {"nodes": n, "resolution": g.depth}
+
+
+def flag_cause(d):
+    """Why tops are flagged, as the witness names it and errors say it:
+    on a stationary diagram the extreme chains fail (a continuation
+    stays maximal forever with no z_{i,min} to wrap to), on a finite
+    one the presentation ends."""
+    if d.stationary:
+        return "extreme_chains", "extreme chains fail"
+    return "presentation_end", "presentation checked to level %d" % d.depth
 
 
 def node_class(d, p):

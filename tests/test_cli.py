@@ -9,6 +9,7 @@ and capsys sees exactly what a shell would.  Exit code contract:
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path
 from bratteli import DiagramError, parse_diagram, parse_dvectors
@@ -569,3 +570,63 @@ def test_budget_env_is_read_and_validated(capsys, monkeypatch):
                         "--level", "1", "--vec", "1,1", "--ideal", "--zero")
     assert code == 1
     assert json.loads(out)["checks"][0]["witness"] == {"persistent_from": 2}
+
+
+# -- The JSON writer -----------------------------------------------------------
+
+_AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                            "é", " ", "\U0001f600", "/", "a"])
+_STRINGS = st.text(_AWKWARD | st.characters(), max_size=8)
+_LEAVES = (_STRINGS | st.integers() | st.integers(-2**200, 2**200)
+           | st.booleans() | st.none() | st.floats() | st.fractions())
+_KEYS = (_STRINGS | st.integers() | st.booleans() | st.none()
+         | st.floats())
+_DOCS = st.recursive(
+    _LEAVES, lambda inner: (st.lists(inner, max_size=4)
+                            | st.lists(inner, max_size=4).map(tuple)
+                            | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_DOCS)
+def test_json_writer_equals_the_stdlib_encoder(doc):
+    import io
+    from bratteli.cli import _write_json
+    out = io.StringIO()
+    _write_json(doc, out.write, "\n")
+    assert out.getvalue() == json.dumps(doc, indent=2, default=str)
+
+
+_JSON_FORMS = [["validate"], ["validate", "--ordered"],
+               ["telescope", "--levels", "0,2"], ["towers", "--level", "2"],
+               ["transition-graphs"], ["index"], ["check-index"],
+               ["chain", "--depth", "3"], ["cover", "--depth", "3"]]
+_FIXTURE_FILES = ["example-5-7.json", "example-5-7-unordered.json",
+                  "example-8-2.json", "five-vertex.json", "odometer.json",
+                  "two-odometers.json"]
+
+
+def test_json_outputs_equal_the_stdlib_encoder(capsys):
+    """Every JSON document a fixture command prints is what
+    json.dumps(indent=2) prints for it."""
+    commands = [[form[0], _fx(name)] + form[1:]
+                for name in _FIXTURE_FILES for form in _JSON_FORMS]
+    commands += [
+        ["orbit", _fx("odometer.json"), "--start", "v:1,1,1", "--steps", "9"],
+        ["chain", _fx("odometer.json"), "--start", "v:1,1,1",
+         "--end", "v:2,2,2"],
+        ["chain", _fx("example-5-7.json"), "--start", "v1:1,1",
+         "--closed"],
+        ["synthesize", _fx("example-5-7-unordered.json"),
+         "--d", _fx("example-5-7.d.json")],
+        ["kpush", _fx("example-8-2.json"), "--level", "1", "--vec", "1,1",
+         "--ideal", "--to", "3", "--zero", "--positive", "--bound", "3"]]
+    printed = 0
+    for argv in commands:
+        code, out, _ = _run(capsys, *argv)
+        if code != 2:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+            printed += 1
+    # the unordered twin has no markers: four of its commands exit 2
+    assert printed == len(commands) - 4

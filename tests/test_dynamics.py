@@ -147,12 +147,24 @@ def test_elementary_fixture_failure_is_monotone(five_vertex):
     assert all("5" in text for text in witness["cut"])
 
 
+def _finite(d):
+    """d cut to its explicit levels."""
+    doc = d.to_json()
+    doc["stationary"] = False
+    return parse_diagram(json.dumps(doc))
+
+
 def test_unknown_when_flags_block_the_verdict(ex57):
-    # y1 -> v1 -> v2 -> y2, whose top is flagged: the one closed class
-    hand = TowerGraph(ex57, 2, ((1,), (2,), (3,), ()), (3,))
-    verdict, witness = chain_transitive(ex57, 2, graph=hand)
-    assert verdict == UNKNOWN
-    assert witness == {"unresolved": 1, "checked_to": 2}
+    # y1 -> v1 -> v2 -> y2, whose top is flagged: the one closed class;
+    # the witness names the extreme chains on a stationary diagram and
+    # the end of the presentation on a finite one
+    for d, reason in ((ex57, "extreme_chains"),
+                      (_finite(ex57), "presentation_end")):
+        hand = TowerGraph(d, 2, ((1,), (2,), (3,), ()), (3,))
+        verdict, witness = chain_transitive(d, 2, graph=hand)
+        assert verdict == UNKNOWN
+        assert witness == {"unresolved": 1, "checked_to": 2,
+                           "reason": reason}
 
 
 def test_flagfree_cut_beats_flags(ex57):
@@ -271,18 +283,20 @@ def test_cover_input_validation(odometer, ex57):
 
 
 def test_cover_rejects_flagged_graphs(ex57):
-    hand = TowerGraph(ex57, 2, ((1,), (2,), (3,), ()), (3,))
-    mins = [extreme_path(ex57, v, 2, MIN) for v in ("y1", "y2")]
-    with pytest.raises(DiagramError, match=r"^1 cylinders unresolved "
-                       r"\(presentation checked to level 2\); sweep "
-                       "counts would be unreliable$"):
-        cover_steps(ex57, mins, graph=hand)
-    # from y2 nothing leads back to y1: its top is the flagged one
-    with pytest.raises(DiagramError, match=r"^no chain from "
-                       r"1:root->y2#1\|2:y2->y2#1 to 1:root->y1#1\|"
-                       r"2:y1->y1#1 at resolution 2\^-2 \(1 cylinders "
-                       r"unresolved, presentation checked to level 2\)$"):
-        epsilon_chain(ex57, mins[1], mins[0], graph=hand)
+    for d, cause in ((ex57, "extreme chains fail"),
+                     (_finite(ex57), "presentation checked to level 2")):
+        hand = TowerGraph(d, 2, ((1,), (2,), (3,), ()), (3,))
+        mins = [extreme_path(d, v, 2, MIN) for v in ("y1", "y2")]
+        with pytest.raises(DiagramError, match=r"^1 cylinders unresolved "
+                           r"\(%s\); sweep counts would be unreliable$"
+                           % cause):
+            cover_steps(d, mins, graph=hand)
+        # from y2 nothing leads back to y1: its top is the flagged one
+        with pytest.raises(DiagramError, match=r"^no chain from "
+                           r"1:root->y2#1\|2:y2->y2#1 to 1:root->y1#1\|"
+                           r"2:y1->y1#1 at resolution 2\^-2 \(1 cylinders "
+                           r"unresolved, %s\)$" % cause):
+            epsilon_chain(d, mins[1], mins[0], graph=hand)
 
 
 def test_cover_diverges_on_stalled_relation(ex57):

@@ -121,7 +121,7 @@ _SINGULAR = {"kind": "bratteli", "k": 1, "stationary": True, "levels": [
 
 def test_class_dies_under_singular_block():
     d = parse_diagram(json.dumps(_SINGULAR))
-    assert d.incidence(2) == [[1, 1], [1, 1]]
+    assert d.incidence(2) == ((1, 1), (1, 1))
     verdict, wit = class_is_zero(d, 2, (1, -1))
     assert verdict == HOLDS
     verdict, _ = class_is_zero(d, 2, (1, 0))

@@ -30,9 +30,9 @@ from bratteli import (HOLDS, DiagramError, Diverges, TowerGraph,
                       enumerate_paths, epsilon_chain, parse_diagram,
                       path_text, pseudo_orbit, saturation_sets,
                       saturation_sizes, tower_graph)
-from cylinder_oracle import (_reach, node_class, node_families, node_graph,
-                             node_reverse, node_saturation, node_verdict,
-                             recursive_paths, segments)
+from cylinder_oracle import (_reach, flag_cause, node_class, node_families,
+                             node_graph, node_reverse, node_saturation,
+                             node_verdict, recursive_paths, segments)
 
 FIXTURES = ["ex57", "ex57_unordered", "ex82", "five_vertex", "odometer",
             "two_odometers"]
@@ -242,11 +242,18 @@ def _expect(call, want):
         assert call() == want
 
 
+def _expect_listing(call, want):
+    """_expect for a query that lists cylinders: call(text=True) gives
+    the same listing rendered by path_text."""
+    _expect(call, want)
+    if not isinstance(want, str):
+        assert call(text=True) == [path_text(p) for p in want]
+
+
 def _want_cover(d, g, fams, start, adj):
     if g.flagged:
-        return ("%d cylinders unresolved (presentation checked to level "
-                "%d); sweep counts would be unreliable"
-                % (len(g.flagged), d.depth))
+        return ("%d cylinders unresolved (%s); sweep counts would be "
+                "unreliable" % (len(g.flagged), flag_cause(d)[1]))
     if isinstance(fams, str):
         return fams
     met = {node_class(d, g.nodes[v]) for v in start}
@@ -263,8 +270,8 @@ def _check_path_queries(d, tg):
     nodes, n = g.nodes, len(g.nodes)
     picks = sorted(set(range(0, n, max(1, n // 6))) | {n - 1})
     unresolved = ("" if not g.flagged
-                  else " (%d cylinders unresolved, presentation checked to "
-                  "level %d)" % (len(g.flagged), d.depth))
+                  else " (%d cylinders unresolved, %s)"
+                  % (len(g.flagged), flag_cause(d)[1]))
     for s in picks:
         for t in picks:
             walk = _bfs(g.out, (s,), t)
@@ -272,8 +279,8 @@ def _check_path_queries(d, tg):
                     % (path_text(nodes[s]), path_text(nodes[t]), g.depth,
                        unresolved) if walk is None
                     else [nodes[v] for v in walk])
-            _expect(lambda: epsilon_chain(d, nodes[s], nodes[t], graph=tg),
-                    want)
+            _expect_listing(lambda text=False: epsilon_chain(
+                d, nodes[s], nodes[t], graph=tg, text=text), want)
     verdict = node_verdict(d, g)[0]
     for s in picks:
         if verdict != HOLDS:
@@ -283,7 +290,8 @@ def _check_path_queries(d, tg):
             walk = _bfs(g.out, g.out[s], s)
             want = ("no closed chain through %s" % path_text(nodes[s])
                     if walk is None else [nodes[s]] + [nodes[v] for v in walk])
-        _expect(lambda: pseudo_orbit(d, nodes[s], graph=tg), want)
+        _expect_listing(lambda text=False: pseudo_orbit(
+            d, nodes[s], graph=tg, text=text), want)
     try:
         fams = node_families(d, g)
         sets = [[fam[0] for fam in fams.values()],

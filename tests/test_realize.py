@@ -168,6 +168,26 @@ def test_euler_walk_property(data):
     _replay(g, trail, 1, 1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_feasible_euler_walks_use_every_arc(data):
+    """On any multigraph and endpoints, euler_walk either names a broken
+    criterion or walks every arc once from start to end (the library no
+    longer counts the arcs of its walk at run time)."""
+    k = data.draw(st.integers(1, 5), label="k")
+    edges = data.draw(st.lists(
+        st.tuples(st.integers(1, k), st.integers(1, k)), max_size=9),
+        label="edges")
+    start = data.draw(st.integers(1, k), label="start")
+    end = data.draw(st.integers(1, k), label="end")
+    g = Multigraph(k, edges)
+    trail = euler_walk(g, start, end)
+    if isinstance(trail, NoWalk):
+        assert trail.reason == "disconnected" or "surplus" in trail.reason
+    else:
+        _replay(g, trail, start, end)
+
+
 # -- Graph extraction --------------------------------------------------------
 
 def test_graphs_from_dvectors_pairs_and_levels(ex57_unordered, dv57):
@@ -255,6 +275,35 @@ def test_synthesis_round_trip_replays_walks(ex57_unordered, dv57):
         # each V_o arc of the graph below appears as often as incidence says
         assert sorted(lifted["labels"]) == sorted(
             u for u in out.fiber(3, w) if out.label(2, u) == 0)
+
+
+def test_third_component_anchor_slots_into_the_walk():
+    """p runs from Y1 to Y3 through u (Y1 -> Y2) and v (Y2 -> Y3), so
+    its Y2 anchor goes right after u.  Every synthesized fiber keeps its
+    edges; the library no longer re-checks that the anchors were placed.
+    """
+    ids = ["y1", "y2", "y3", "u", "v", "w", "p"]
+    verts = [{"id": v, "class": {"minimal": int(v[1])} if v[0] == "y"
+              else "other"} for v in ids]
+    fib = {"y1": ["y1", "y1"], "y2": ["y2", "y2"], "y3": ["y3", "y3"],
+           "u": ["u", "y2", "y1"], "v": ["y3", "v", "y2"],
+           "w": ["w", "y1", "p", "y3", "w"],
+           "p": ["v", "y3", "y2", "y1", "u"]}
+    d = parse_diagram(json.dumps({
+        "kind": "bratteli", "k": 3, "stationary": True, "levels": [
+            {"vertices": verts,
+             "edges": [{"source": "root", "range": v} for v in ids]},
+            {"vertices": verts,
+             "edges": [{"source": s, "range": v}
+                       for v in ids for s in fib[v]]}]}))
+    dv = parse_dvectors({"d": [{"level": 2, "values": {
+        "u": [1, -1, 0], "v": [0, 1, -1], "w": [-1, 0, 1],
+        "p": [1, 0, -1]}}], "stationary": True})
+    out = synthesize_order(d, dv)
+    assert out.fiber(3, "p") == ("y1", "u", "y2", "v", "y3")
+    for w in ids:
+        assert sorted(out.fiber(3, w)) == sorted(fib[w])
+    assert validate_ordered(out).ok()
 
 
 def test_synthesis_requires_full_cover(ex57_unordered):

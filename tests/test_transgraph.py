@@ -216,7 +216,7 @@ def test_lift_edge_catches_multiplicity_mismatch(ex57):
         levels.append(Level(ids, labels, edges))
     d = Diagram(levels, 2, True)
     assert d.fiber(2, "v2") == ("y1", "v2", "root", "v2", "y2")
-    assert d.incidence(1)[2] == [1, 0, 2, 1]
+    assert d.incidence(1)[2] == (1, 0, 2, 1)
     with pytest.raises(DiagramError, match="label 'root' appears 1 times in "
                        "the fiber of 'v2', incidence says 0"):
         lift_edge_to_path(d, 2, "v2")

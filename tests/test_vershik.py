@@ -11,6 +11,8 @@ Core claims:
     - vershik_step resolves maximal windows exactly on the stationary
       fixtures, and wraps trunk tops to the opposite extreme
     - orbit walks stop early with the right terminal marker
+    - the floor walker, from any floor and in either direction, takes
+      the successor or predecessor steps, and its texts are path_text
 """
 
 import pytest
@@ -26,13 +28,14 @@ from bratteli import (
     extreme_path,
     make_path,
     orbit,
+    path_text,
     predecessor,
     successor,
-    tower,
     towers,
     traversal_matrix,
     vershik_step,
 )
+from cylinder_oracle import recursive_paths
 
 FIXTURES = ["ex57", "ex82", "five_vertex", "odometer", "two_odometers"]
 
@@ -124,7 +127,7 @@ def test_towers_climb_by_successor(ex82):
 
 def _check_tower_climb(d, n):
     for v in d.vertices(n):
-        floors = tower(d, v, n)
+        floors = towers(d, n).tower(v)
         for a, b in zip(floors, floors[1:]):
             assert successor(d, a) == b
             assert predecessor(d, b) == a
@@ -133,7 +136,7 @@ def _check_tower_climb(d, n):
 
 
 def test_tower_floors_are_successor_steps(request, fuzz_corpus):
-    """The floors ``tower`` lists in lex order are exactly the successor
+    """The floors a tower lists in lex order are exactly the successor
     climb from a Minimal ground floor to a Maximal top, in both
     directions of the move."""
     for name in FIXTURES + ["ex57_unordered"]:
@@ -178,6 +181,52 @@ def test_orbit_stops_exactly_at_steps(ex57):
     assert terminal is None
     assert len(paths) == 5
     assert paths[0] == start
+
+
+def _check_floor_walker(d, n, steps=4):
+    """From every floor and in both directions, the walker's paths, its
+    texts and its terminal marker equal ``steps`` repeated successor or
+    predecessor calls, the brute-force lex list and ``path_text``."""
+    for v in d.vertices(n):
+        floors = recursive_paths(d, v, n)
+        for i, p in enumerate(floors):
+            for reverse, move in ((False, successor), (True, predecessor)):
+                want = (floors[i::-1][:steps + 1] if reverse
+                        else floors[i:i + steps + 1])
+                stepped, terminal = [p], None
+                while len(stepped) <= steps and terminal is None:
+                    nxt = move(d, stepped[-1])
+                    if isinstance(nxt, Path):
+                        stepped.append(nxt)
+                    else:
+                        terminal = nxt
+                assert stepped == want
+                if len(want) <= steps:
+                    assert isinstance(terminal, Minimal if reverse
+                                      else Maximal)
+                assert orbit(d, p, steps, reverse) == (want, terminal)
+                assert orbit(d, p, steps, reverse, text=True) == \
+                    ([path_text(q) for q in want], terminal)
+
+
+def test_floor_walker_matches_successor_steps(request, fuzz_corpus):
+    for name in FIXTURES + ["ex57_unordered"]:
+        d = request.getfixturevalue(name)
+        for n in range(1, 7):
+            _check_floor_walker(d, n)
+    for _, d, _ in fuzz_corpus[::5]:
+        for n in range(1, 5):
+            _check_floor_walker(d, n)
+
+
+def test_tower_texts_match_path_text(request):
+    for name in FIXTURES:
+        d = request.getfixturevalue(name)
+        for n in range(1, 5):
+            part = towers(d, n)
+            for v in part.vertices:
+                assert part.tower(v, text=True) == \
+                    [path_text(p) for p in part.tower(v)]
 
 
 # -- Set-valued step on cylinders --------------------------------------------
