@@ -100,9 +100,9 @@ def _segment(verts, ranks, j):
 
 
 def enumerate_paths(d, end, depth, start=None, reverse=False, text=False):
-    """Yield the paths into ``end`` in lex order (descending if
-    ``reverse``) from ``start``, by default the first one, as Paths or as
-    their ``path_text`` if ``text``.
+    """Yield the depth-``depth`` paths into ``end`` in lex order (descending
+    if ``reverse``) from ``start``, one of them, by default the first one;
+    as Paths, or as their ``path_text`` if ``text``.
 
     Runs like an odometer: bump the shallowest edge not at the far end of
     its fiber, refill the levels below it from the near end.  Rendered
