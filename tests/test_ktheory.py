@@ -11,11 +11,13 @@ Core claims:
       rational span has rank k-1, with the all-ones vector outside it
 """
 
+import itertools
 import json
 import random
 
 import pytest
 
+from conftest import fixture_path
 from bratteli import (
     FAILS,
     HOLDS,
@@ -29,6 +31,7 @@ from bratteli import (
     eq,
     index_elements,
     is_positive,
+    load_diagram,
     parse_diagram,
     pushforward,
     rational_rank_lower_bound,
@@ -142,9 +145,9 @@ def test_eq_unknown_without_stationarity(ex57):
     doc = ex57.to_json()
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
-    verdict, _ = eq(d, (1, (1, 0, 0, 0)), (1, (0, 0, 0, 1)),
-                    depth_budget=3)
+    verdict, wit = eq(d, (1, (1, 0, 0, 0)), (1, (0, 0, 0, 1)))
     assert verdict == UNKNOWN
+    assert wit == {"nonzero_through": 2}
 
 
 def test_positive_member_detected(ex57):
@@ -164,6 +167,44 @@ def test_fixed_vector_fails_by_cycling(ex57):
     verdict, wit = is_positive(ex57, 2, (1, -1), ideal=True)
     assert verdict == FAILS
     assert wit["orbit_cycles_without_member"] is True
+
+
+_FIXTURES = ("example-5-7", "example-5-7-unordered", "example-8-2",
+             "five-vertex", "odometer", "two-odometers")
+
+
+@pytest.mark.parametrize("budget", [0, 3, 50])
+@pytest.mark.parametrize("ideal", [False, True])
+@pytest.mark.parametrize("name", _FIXTURES)
+def test_finite_cut_answers_at_presentation_end(name, ideal, budget):
+    # without a stationary tail every class is pushed to the last level
+    # and judged there, whatever the budget: nothing lies beyond it
+    doc = load_diagram(fixture_path(name + ".json")).to_json()
+    doc["stationary"] = False
+    d = parse_diagram(json.dumps(doc))
+    end = d.depth
+    for n in range(1, end + 1):
+        dim = len(d.others(n) if ideal else d.vertices(n))
+        for vec in itertools.product((-1, 0, 2), repeat=dim):
+            _, cur = pushforward(d, (n, vec), end, ideal)
+            zero = (HOLDS, {"vanishes_by": end}) if not any(cur) else \
+                (UNKNOWN, {"nonzero_through": end})
+            assert class_is_zero(d, n, vec, ideal, depth_budget=budget) \
+                == zero
+            positive = (min(vec, default=0) >= 0
+                        or min(cur, default=0) >= 0)
+            assert is_positive(d, n, vec, ideal, depth_budget=budget) == (
+                (HOLDS, {"non_negative_member": True}) if positive
+                else (UNKNOWN, {"checked_to": end}))
+            for bound in (0, 1, 3):
+                if not any(cur):
+                    want = HOLDS, {"zero_class": True}
+                elif max(abs(e) for e in cur) > bound:
+                    want = UNKNOWN, {"exceeds_at": end}
+                else:
+                    want = HOLDS, {"exhibited_through": end}
+                assert bounded_norm_membership(
+                    d, n, vec, bound, ideal, depth_budget=budget) == want
 
 
 # -- Sup-norm boxes ----------------------------------------------------------
