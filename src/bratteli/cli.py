@@ -31,11 +31,11 @@ from .dynamics import (Diverges, chain_transitive, cover_steps,
 from .ktheory import (bounded_norm_membership, check_index_relations,
                       class_is_zero, index_elements, is_positive, pushforward,
                       rational_rank_lower_bound)
-from .order import (MIN, _chains, extreme_path, make_path, marker_level,
-                    validate_ordered)
+from .order import (MIN, _chains, enumerate_paths, extreme_path, make_path,
+                    marker_level, validate_ordered)
 from .realize import load_dvectors, synthesize_order
 from .transgraph import index_pushforward, transition_graph
-from .vershik import Maximal, orbit, towers
+from .vershik import Maximal, orbit
 
 
 def _budget(args):
@@ -157,18 +157,20 @@ def cmd_telescope(args):
 
 def cmd_towers(args):
     d = load_diagram(args.diagram)
-    part = towers(d, args.level)
-    floors = {v: part.tower(v, text=True) for v in part.vertices}
+    n = args.level
+    vertices = d.vertices(n)
+    floors = {v: list(enumerate_paths(d, v, n, text=True))
+              for v in vertices}
     if args.format == "text":
         lines = []
-        for v in part.vertices:
+        for v in vertices:
             lines.append("%s (height %d)" % (v, len(floors[v])))
             lines.extend("  " + f for f in floors[v])
         _emit("\n".join(lines) + "\n", args)
     else:
-        _emit({"level": part.level,
+        _emit({"level": n,
                "towers": [{"vertex": v, "height": len(floors[v]),
-                           "floors": floors[v]} for v in part.vertices]},
+                           "floors": floors[v]} for v in vertices]},
               args)
     return 0
 
@@ -286,8 +288,8 @@ def cmd_chain(args):
             _emit(cylinder_graph(d, args.depth).to_dot(), args)
             return 0
         g = tower_graph(d, args.depth)
-        verdict, wit = chain_transitive(d, args.depth, graph=g)
-        sat = saturation_sizes(d, args.depth, graph=g)
+        verdict, wit = chain_transitive(g)
+        sat = saturation_sizes(g)
         doc = {"depth": args.depth, "nodes": g.size,
                "chain_transitive": verdict, "witness": wit,
                "saturation": {"Y%d" % i: size
@@ -302,12 +304,12 @@ def cmd_chain(args):
         return _exit_for(verdict, args)
     p = _parse_path(d, args.start)
     if args.closed:
-        walk = pseudo_orbit(d, p, text=True)
+        walk = pseudo_orbit(tower_graph(d, p.depth), p, text=True)
     else:
         if args.end is None:
             raise DiagramError("chain needs an end path unless --closed")
         q = _parse_path(d, args.end)
-        walk = epsilon_chain(d, p, q, text=True)
+        walk = epsilon_chain(tower_graph(d, p.depth), p, q, text=True)
     if args.format == "text":
         _emit("\n".join(walk) + "\n", args)
     else:
@@ -336,7 +338,8 @@ def _cover_set(d, args):
 def cmd_cover(args):
     d = load_diagram(args.diagram)
     cyls = _cover_set(d, args)
-    res = cover_steps(d, cyls, direction=args.direction)
+    res = cover_steps(tower_graph(d, cyls[0].depth), cyls,
+                      direction=args.direction)
     if isinstance(res, Diverges):
         doc = {"diverges": {"steps": res.steps,
                             "uncovered": list(res.uncovered)}}
@@ -373,14 +376,13 @@ def cmd_kpush(args):
         doc["pushforward"] = {"level": lvl, "vector": list(moved)}
     if args.zero:
         rep.add("class_is_zero", *class_is_zero(
-            d, args.level, vec, ideal=args.ideal, depth_budget=budget))
+            d, args.level, vec, ideal=args.ideal))
     if args.positive:
         rep.add("is_positive", *is_positive(
             d, args.level, vec, ideal=args.ideal, depth_budget=budget))
     if args.bound is not None:
         rep.add("bounded_norm_membership", *bounded_norm_membership(
-            d, args.level, vec, args.bound, ideal=args.ideal,
-            depth_budget=budget))
+            d, args.level, vec, args.bound, ideal=args.ideal))
     if rep.checks:
         doc["checks"] = [c.to_json() for c in rep.checks]
         doc["overall"] = rep.overall()
@@ -513,7 +515,9 @@ def _build_parser():
                     help="test positivity of the class")
     sp.add_argument("--bound", type=int, default=None, metavar="M",
                     help="test membership in the norm-M bounded part")
-    sp.add_argument("--budget", type=_count, default=None)
+    sp.add_argument("--budget", type=_count, default=None,
+                    help="orbit steps for --positive in a stationary tail, "
+                    "at least 32 (default BDK_BUDGET or 10)")
     sp.add_argument("--strict", action="store_true")
 
     return ap
@@ -527,6 +531,11 @@ def main(argv=None):
     global _parser
     if _parser is None:
         _parser = _build_parser()
+        # exact answers may be integers of any length; the interpreter's
+        # default cap on int/str conversion (4300 digits) would turn a
+        # deep pushforward into an internal error halfway through output
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
     args = _parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -24,6 +24,10 @@ settle a top (the extreme chains fail, or a continuation off the trunks
 reaches the end of a finite presentation) its edges are withheld rather
 than guessed; such nodes are flagged and verdicts that would rely on
 them degrade to Unknown.
+
+Every query takes the tower graph ``tower_graph(d, N)`` and reads the
+diagram and the resolution off it, so one graph serves any number of
+queries at one depth.
 """
 
 from __future__ import annotations
@@ -255,9 +259,14 @@ def _decide(g):
     return verdict, cut
 
 
-def _analyze(g):
-    """Chain transitivity verdict and witness; only a Fails cut is
-    listed as paths, towers in listing order and floors bottom up."""
+def chain_transitive(g):
+    """Whether every cylinder chains to every other at the resolution
+    2^-N of tower graph g.
+
+    Fails comes with a proper nonempty set of cylinders that no chain
+    escapes, listed towers in listing order and floors bottom up; Holds
+    means the step relation is strongly connected.
+    """
     verdict, cut = _decide(g)
     if verdict == FAILS:
         towers, top_only = cut
@@ -282,25 +291,13 @@ def _flag_reason(g):
             "presentation checked to level %d" % g.diagram.depth)
 
 
-def chain_transitive(d, depth, graph=None):
-    """Whether every cylinder chains to every other at resolution 2^-N.
-
-    Fails comes with a proper nonempty set of cylinders that no chain
-    escapes; Holds means the step relation is strongly connected.
-    """
-    return _analyze(graph if graph is not None else tower_graph(d, depth))
-
-
-def epsilon_chain(d, p, q, graph=None, text=False):
-    """Shortest chain of cylinders from p to q, both of one depth.
+def epsilon_chain(g, p, q, text=False):
+    """Shortest chain of cylinders from p to q, both of g's depth.
 
     Consecutive entries x, y satisfy d(step(x), y) < 2^-N pointwise, so
     the returned list is an epsilon-chain of the dynamics.  Equal ends
     give the one-element chain.  ``text`` lists them as ``path_text``.
     """
-    if p.depth != q.depth:
-        raise DiagramError("chain endpoints must share a depth")
-    g = graph if graph is not None else tower_graph(d, p.depth)
     src = g.rank(p, "chain source")
     dst = g.rank(q, "chain target")
     chain = shortest_path(g, (src,), dst)
@@ -312,9 +309,10 @@ def epsilon_chain(d, p, q, graph=None, text=False):
                        % (path_text(p), path_text(q), g.depth, extra))
 
 
-def _inside(d, p):
+def _inside(g, p):
     """Component i when every vertex of p lies in V_i, else 0."""
-    classes = {d.label(lvl, v) for lvl, v in enumerate(p.verts, start=1)}
+    classes = {g.diagram.label(lvl, v)
+               for lvl, v in enumerate(p.verts, start=1)}
     return classes.pop() if len(classes) == 1 else OTHER
 
 
@@ -378,21 +376,19 @@ def _saturation(g):
     return sat
 
 
-def saturation_sizes(d, depth, graph=None):
+def saturation_sizes(g):
     """How many cylinders chain into each minimal class, without
     listing them: {i: count}."""
-    g = graph if graph is not None else tower_graph(d, depth)
     return {i: sum(c) for i, c in _saturation(g).items()}
 
 
-def saturation_sets(d, depth, graph=None):
+def saturation_sets(g):
     """Cylinders from which each minimal class is chain-reachable.
 
     Returns {i: frozenset of paths that reach some cylinder inside
     component i}.  The reaching floors of a tower are its lowest ones,
     so each set is listed from the per-tower counts.
     """
-    g = graph if graph is not None else tower_graph(d, depth)
     return {i: frozenset(g.paths(v for t, c in enumerate(counts)
                                  for v in range(g.ground[t], g.ground[t] + c)))
             for i, counts in _saturation(g).items()}
@@ -412,9 +408,9 @@ class Diverges:
                                                      len(self.uncovered))
 
 
-def cover_steps(d, cylinders, direction="forward", graph=None):
-    """Least K with the first K step images of the given cylinders
-    covering everything, or Diverges when the sweep stalls.
+def cover_steps(g, cylinders, direction="forward"):
+    """Least K with the first K step images of the given cylinders, all
+    of g's depth, covering everything, or Diverges when the sweep stalls.
 
     The set must meet every minimal class: a component none of whose
     cylinders are included can never be swept out, so that input is
@@ -424,18 +420,14 @@ def cover_steps(d, cylinders, direction="forward", graph=None):
     cyls = list(cylinders)
     if not cyls:
         raise DiagramError("covering set is empty")
-    depth = cyls[0].depth
-    if any(p.depth != depth for p in cyls):
-        raise DiagramError("covering set mixes depths")
     if direction not in ("forward", "backward"):
         raise DiagramError("direction must be forward or backward")
-    g = graph if graph is not None else tower_graph(d, depth)
     if g.flagged:
         raise DiagramError("%d cylinders unresolved (%s); sweep counts "
                            "would be unreliable"
                            % (len(g.flagged), _flag_reason(g)[1]))
     start = {g.rank(p, "covering cylinder") for p in cyls}
-    met = {_inside(d, p) for p in cyls}
+    met = {_inside(g, p) for p in cyls}
     for i in sorted(_class_floors(g)):
         if i not in met:
             raise DiagramError("covering set misses every cylinder of "
@@ -455,14 +447,13 @@ def cover_steps(d, cylinders, direction="forward", graph=None):
     return steps
 
 
-def pseudo_orbit(d, p, graph=None, text=False):
+def pseudo_orbit(g, p, text=False):
     """Shortest closed chain of cylinders through p.
 
     Only meaningful on chain transitive systems, so anything less than
     a Holds verdict at this resolution is rejected.  ``text`` lists the
     cylinders as ``path_text``.
     """
-    g = graph if graph is not None else tower_graph(d, p.depth)
     verdict, _ = _decide(g)
     if verdict != HOLDS:
         raise DiagramError("pseudo-orbits need chain transitivity at this "

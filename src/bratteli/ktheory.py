@@ -59,7 +59,7 @@ def _tail_kill(d, vec, ideal):
     return vec
 
 
-def class_is_zero(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
+def class_is_zero(d, n, vec, ideal=False):
     """Whether the vector's class vanishes.  Returns (verdict, witness)."""
     lvl, cur = pushforward(d, (n, vec), max(n, d.depth), ideal)
     if not any(cur):
@@ -68,23 +68,16 @@ def class_is_zero(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
         if any(_tail_kill(d, cur, ideal)):
             return FAILS, {"persistent_from": lvl}
         return HOLDS, {"vanishes_in_tail": True}
-    for j in range(depth_budget):
-        if not d.has_level(lvl + 1):
-            break
-        cur = _mat_vec(_block(d, lvl, ideal), cur)
-        lvl += 1
-        if not any(cur):
-            return HOLDS, {"vanishes_by": lvl}
     return UNKNOWN, {"nonzero_through": lvl}
 
 
-def eq(d, x, y, ideal=False, depth_budget=DEFAULT_BUDGET):
+def eq(d, x, y, ideal=False):
     """Same-class test for two (level, vector) elements."""
     top = max(x[0], y[0])
     _, va = pushforward(d, x, top, ideal)
     _, vb = pushforward(d, y, top, ideal)
     diff = tuple(a - b for a, b in zip(va, vb))
-    return class_is_zero(d, top, diff, ideal, depth_budget)
+    return class_is_zero(d, top, diff, ideal)
 
 
 def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
@@ -102,13 +95,6 @@ def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
         if all(e >= 0 for e in w):
             return HOLDS, {"non_negative_member": True}
     if not d.stationary:
-        for j in range(depth_budget):
-            if not d.has_level(lvl + 1):
-                break
-            cur = _mat_vec(_block(d, lvl, ideal), cur)
-            lvl += 1
-            if all(e >= 0 for e in cur):
-                return HOLDS, {"non_negative_by": lvl}
         return UNKNOWN, {"checked_to": lvl}
     b = _block(d, d.depth, ideal)
     cap = max(32, depth_budget, 4 * len(cur) + 4)
@@ -135,8 +121,7 @@ def _sup(vec):
     return max((abs(e) for e in vec), default=0)
 
 
-def bounded_norm_membership(d, n, vec, bound, ideal=True,
-                            depth_budget=DEFAULT_BUDGET):
+def bounded_norm_membership(d, n, vec, bound, ideal=True):
     """Whether the class keeps sup-norm <= bound representatives deep down.
 
     With an invertible tail block the deep representatives are exactly the
@@ -150,18 +135,9 @@ def bounded_norm_membership(d, n, vec, bound, ideal=True,
     if not any(cur):
         return HOLDS, {"zero_class": True}
     if not d.stationary:
-        levels = [lvl]
         if _sup(cur) > bound:
             return UNKNOWN, {"exceeds_at": lvl}
-        for j in range(depth_budget):
-            if not d.has_level(lvl + 1):
-                break
-            cur = _mat_vec(_block(d, lvl, ideal), cur)
-            lvl += 1
-            levels.append(lvl)
-            if _sup(cur) > bound:
-                return UNKNOWN, {"exceeds_at": lvl}
-        return HOLDS, {"exhibited_through": levels[-1]}
+        return HOLDS, {"exhibited_through": lvl}
     b = _block(d, d.depth, ideal)
     invertible = _rank(b) == len(b)
     seen = {}

@@ -5,7 +5,8 @@ fiber maximum and refills everything below it minimally; this is the lex
 successor among paths with the same range.  A path whose edges are all
 fiber-maximal has no successor at its depth: it is the top floor of its
 tower, and the set-valued ``vershik_step`` describes where deeper
-extensions land after the increment happens further up.
+extensions land after the increment happens further up.  The floors of
+the level-n tower over v, ground first, are ``enumerate_paths(d, v, n)``.
 """
 
 from __future__ import annotations
@@ -65,27 +66,6 @@ def predecessor(d, p):
     """Previous path in lex order, or a Minimal marker."""
     paths, ground = orbit(d, p, 1, reverse=True)
     return ground or paths[1]
-
-
-class KRPartition:
-    """All towers of one level, each listed when asked for."""
-
-    __slots__ = ("diagram", "level", "vertices")
-
-    def __init__(self, diagram, level):
-        self.diagram = diagram
-        self.level = level
-        self.vertices = diagram.vertices(level)
-
-    def tower(self, v, text=False):
-        """Floors of the tower over v, ground first: the paths into v in
-        lex order (``path_text`` if ``text``)."""
-        return list(enumerate_paths(self.diagram, v, self.level, text=text))
-
-
-def towers(d, n):
-    """The Kakutani-Rokhlin partition at level n, one tower per vertex."""
-    return KRPartition(d, n)
 
 
 def traversal_matrix(d, n):

@@ -35,7 +35,7 @@ from bratteli import (
     successor,
     synthesize_order,
     telescope,
-    towers,
+    tower_graph,
     transition_graph,
     traversal_matrix,
     validate_ordered,
@@ -82,7 +82,7 @@ def test_c03_ideal_transport_and_bounded_norm(ex82):
     assert pushforward(ex82, (1, (0, 1)), 2, ideal=True) == (2, (0, 3))
     for m in range(11):
         verdict, witness = bounded_norm_membership(
-            ex82, 1, (1, 1), m, ideal=True, depth_budget=10)
+            ex82, 1, (1, 1), m, ideal=True)
         assert verdict == FAILS, (m, witness)
     verdict, _ = bounded_norm_membership(ex82, 1, (0, 0), 0, ideal=True)
     assert verdict == HOLDS
@@ -117,9 +117,8 @@ def test_c06_towers_climb_and_traverse(request):
     for name in names:
         d = request.getfixturevalue(name)
         for n in range(1, 6):
-            part = towers(d, n)
-            for v in part.vertices:
-                floors = part.tower(v)
+            for v in d.vertices(n):
+                floors = list(enumerate_paths(d, v, n))
                 for lo, hi in zip(floors, floors[1:]):
                     assert successor(d, lo) == hi, (name, n, v)
             assert traversal_matrix(d, n) == d.incidence(n), (name, n)
@@ -153,28 +152,29 @@ def test_c08_chain_transitivity(ex57, ex82, odometer, two_odometers,
                                 fuzz_corpus):
     for d in (ex57, ex82, odometer):
         for depth in range(1, 7):
-            verdict, witness = chain_transitive(d, depth)
+            verdict, witness = chain_transitive(tower_graph(d, depth))
             assert verdict == HOLDS, (depth, witness)
-    verdict, witness = chain_transitive(two_odometers, 2)
+    verdict, witness = chain_transitive(tower_graph(two_odometers, 2))
     assert verdict == FAILS
     assert witness["cut"] == ("1:root->a#1|2:a->a#1",
                               "1:root->a#1|2:a->a#2")
     # a closed cut survives refinement, so Holds at depth 6 certifies
     # every smaller depth for the whole corpus in one pass
     for name, d, _ in fuzz_corpus:
-        verdict, witness = chain_transitive(d, 6)
+        verdict, witness = chain_transitive(tower_graph(d, 6))
         assert verdict == HOLDS, (name, witness)
     # saturation sets must be full wherever the verdict Holds
     for d in (ex57, ex82, odometer, two_odometers):
         for depth in (1, 2, 3):
-            sets = saturation_sets(d, depth)
+            g = tower_graph(d, depth)
+            sets = saturation_sets(g)
             assert set(sets) == set(range(1, d.k + 1))
-            if chain_transitive(d, depth)[0] == HOLDS:
+            if chain_transitive(g)[0] == HOLDS:
                 nodes = sum(d.path_counts(depth))
                 assert {len(s) for s in sets.values()} == {nodes}
     for name, d, _ in fuzz_corpus[::5]:
         nodes = sum(d.path_counts(3))
-        sets = saturation_sets(d, 3)
+        sets = saturation_sets(tower_graph(d, 3))
         assert {len(s) for s in sets.values()} == {nodes}, name
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path
-from bratteli import DiagramError, parse_diagram, parse_dvectors
+from bratteli import (DiagramError, load_diagram, parse_diagram,
+                      parse_dvectors, pushforward)
 from bratteli.cli import main
 
 
@@ -524,6 +525,23 @@ def test_kpush_transport(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["pushforward"] == {"level": 3, "vector": [4, 9]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_kpush_prints_integers_of_any_length(capsys, fmt):
+    # 2^14999 has 4516 digits, past the interpreter's default cap on
+    # int/str conversion
+    code, out, err = _run(capsys, "kpush", _fx("odometer.json"), "--level",
+                          "1", "--vec", "1", "--to", "15000", "--format", fmt)
+    assert code == 0 and err == ""
+    _, (want,) = pushforward(load_diagram(_fx("odometer.json")), (1, (1,)),
+                             15000)
+    assert want == 2 ** 14999
+    if fmt == "json":
+        got = json.loads(out)["pushforward"]["vector"]
+    else:
+        got = out.splitlines()[1].split("(")[1].rstrip(")").split(", ")
+    assert [int(x) for x in got] == [want]
 
 
 def test_kpush_bounded_norm_fails(capsys):

@@ -122,14 +122,14 @@ def test_to_dot_marks_flagged_nodes(odometer):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_fixtures_chain_transitive(request, fixture, depth):
     d = request.getfixturevalue(fixture)
-    verdict, witness = chain_transitive(d, depth)
+    verdict, witness = chain_transitive(tower_graph(d, depth))
     assert verdict == HOLDS
     assert witness["resolution"] == depth
     assert witness["nodes"] == len(cylinder_graph(d, depth))
 
 
 def test_doubled_odometer_fails_with_island_cut(two_odometers):
-    verdict, witness = chain_transitive(two_odometers, 3)
+    verdict, witness = chain_transitive(tower_graph(two_odometers, 3))
     assert verdict == FAILS
     assert witness["cut_size"] == 4
     assert all(text.startswith("1:root->a#1") for text in witness["cut"])
@@ -140,7 +140,7 @@ def test_elementary_fixture_failure_is_monotone(five_vertex):
     resolution; the island over the terminal vertex doubles each level."""
     sizes = []
     for depth in (1, 2, 3, 4):
-        verdict, witness = chain_transitive(five_vertex, depth)
+        verdict, witness = chain_transitive(tower_graph(five_vertex, depth))
         assert verdict == FAILS
         sizes.append(witness["cut_size"])
     assert sizes == [1, 2, 4, 8]
@@ -161,7 +161,7 @@ def test_unknown_when_flags_block_the_verdict(ex57):
     for d, reason in ((ex57, "extreme_chains"),
                       (_finite(ex57), "presentation_end")):
         hand = TowerGraph(d, 2, ((1,), (2,), (3,), ()), (3,))
-        verdict, witness = chain_transitive(d, 2, graph=hand)
+        verdict, witness = chain_transitive(hand)
         assert verdict == UNKNOWN
         assert witness == {"unresolved": 1, "checked_to": 2,
                            "reason": reason}
@@ -170,7 +170,7 @@ def test_unknown_when_flags_block_the_verdict(ex57):
 def test_flagfree_cut_beats_flags(ex57):
     # a flag elsewhere cannot save a certified flag-free closed cut
     hand = TowerGraph(ex57, 2, ((3,), (0,), (), (0,)), (2,))
-    verdict, witness = chain_transitive(ex57, 2, graph=hand)
+    verdict, witness = chain_transitive(hand)
     assert verdict == FAILS
     assert witness["cut"] == ("1:root->y1#1|2:y1->y1#1",
                               "1:root->y1#1|2:y1->y1#2",
@@ -183,22 +183,24 @@ def test_flagfree_cut_beats_flags(ex57):
 def test_epsilon_chain_across_the_odometer(odometer):
     p = extreme_path(odometer, "v", 3, MIN)
     q = extreme_path(odometer, "v", 3, MAX)
-    chain = epsilon_chain(odometer, p, q)
+    tg = tower_graph(odometer, 3)
+    chain = epsilon_chain(tg, p, q)
     assert len(chain) == 8
     assert chain[0] == p and chain[-1] == q
-    tg = tower_graph(odometer, 3)
     for x, y in zip(chain, chain[1:]):
         assert tg.rank(y, "y") in tg[tg.rank(x, "x")]
 
 
 def test_epsilon_chain_trivial_and_errors(odometer, ex57):
+    tg = tower_graph(odometer, 3)
     p = extreme_path(odometer, "v", 3, MIN)
-    assert epsilon_chain(odometer, p, p) == [p]
+    assert epsilon_chain(tg, p, p) == [p]
     q = extreme_path(odometer, "v", 2, MAX)
-    with pytest.raises(DiagramError, match="share a depth"):
-        epsilon_chain(odometer, p, q)
+    with pytest.raises(DiagramError, match="^chain target has depth 2, "
+                       "graph was built at depth 3$"):
+        epsilon_chain(tg, p, q)
     with pytest.raises(DiagramError, match="not a path"):
-        epsilon_chain(ex57, make_path(odometer, "v", (0, 0)),
+        epsilon_chain(tower_graph(ex57, 2), make_path(odometer, "v", (0, 0)),
                       make_path(ex57, "y1", (0, 0)))
 
 
@@ -206,7 +208,7 @@ def test_epsilon_chain_reports_unreachable(two_odometers):
     p = make_path(two_odometers, "a", (0, 0))
     q = make_path(two_odometers, "b", (0, 0))
     with pytest.raises(DiagramError, match="no chain from"):
-        epsilon_chain(two_odometers, p, q)
+        epsilon_chain(tower_graph(two_odometers, 2), p, q)
 
 
 def test_chain_is_shortest(ex57):
@@ -224,7 +226,7 @@ def test_chain_is_shortest(ex57):
                     nxt.append(w)
         frontier = nxt
     for v, q in enumerate(g.nodes):
-        chain = epsilon_chain(ex57, g.nodes[0], q, graph=tg)
+        chain = epsilon_chain(tg, g.nodes[0], q)
         assert len(chain) == dist[v] + 1
 
 
@@ -233,14 +235,14 @@ def test_chain_is_shortest(ex57):
 def test_saturation_full_on_transitive_fixtures(ex57, odometer):
     for d in (ex57, odometer):
         tg = tower_graph(d, 2)
-        sets = saturation_sets(d, 2, graph=tg)
+        sets = saturation_sets(tg)
         assert set(sets) == set(range(1, d.k + 1))
         for s in sets.values():
             assert len(s) == tg.size
 
 
 def test_saturation_splits_on_doubled_odometer(two_odometers):
-    sets = saturation_sets(two_odometers, 3)
+    sets = saturation_sets(tower_graph(two_odometers, 3))
     assert {i: len(s) for i, s in sets.items()} == {1: 4, 2: 4}
     ends = {i: {p.end for p in s} for i, s in sets.items()}
     assert ends == {1: {"a"}, 2: {"b"}}
@@ -248,7 +250,7 @@ def test_saturation_splits_on_doubled_odometer(two_odometers):
 
 def test_saturation_on_elementary_fixture(five_vertex):
     # not chain transitive, so at least one set must be proper
-    sets = saturation_sets(five_vertex, 2)
+    sets = saturation_sets(tower_graph(five_vertex, 2))
     g = cylinder_graph(five_vertex, 2)
     assert any(len(s) < len(g) for s in sets.values())
 
@@ -256,30 +258,33 @@ def test_saturation_on_elementary_fixture(five_vertex):
 # -- Covering sweeps ---------------------------------------------------------
 
 def test_cover_from_bottom_of_odometer(odometer):
+    tg = tower_graph(odometer, 3)
     p = extreme_path(odometer, "v", 3, MIN)
-    assert cover_steps(odometer, [p]) == 7
+    assert cover_steps(tg, [p]) == 7
     top = extreme_path(odometer, "v", 3, MAX)
-    assert cover_steps(odometer, [top], direction="backward") == 7
+    assert cover_steps(tg, [top], direction="backward") == 7
 
 
 def test_cover_of_everything_is_zero(odometer):
     g = cylinder_graph(odometer, 3)
     tg = tower_graph(odometer, 3)
-    assert cover_steps(odometer, list(g.nodes), graph=tg) == 0
+    assert cover_steps(tg, list(g.nodes)) == 0
 
 
 def test_cover_input_validation(odometer, ex57):
+    tg = tower_graph(odometer, 3)
     p3 = extreme_path(odometer, "v", 3, MIN)
     p2 = extreme_path(odometer, "v", 2, MIN)
     with pytest.raises(DiagramError, match="empty"):
-        cover_steps(odometer, [])
-    with pytest.raises(DiagramError, match="mixes depths"):
-        cover_steps(odometer, [p3, p2])
+        cover_steps(tg, [])
+    with pytest.raises(DiagramError, match="^covering cylinder has depth 2, "
+                       "graph was built at depth 3$"):
+        cover_steps(tg, [p3, p2])
     with pytest.raises(DiagramError, match="forward or backward"):
-        cover_steps(odometer, [p3], direction="sideways")
+        cover_steps(tg, [p3], direction="sideways")
     only_y1 = extreme_path(ex57, "y1", 2, MIN)
     with pytest.raises(DiagramError, match="component 2"):
-        cover_steps(ex57, [only_y1])
+        cover_steps(tower_graph(ex57, 2), [only_y1])
 
 
 def test_cover_rejects_flagged_graphs(ex57):
@@ -290,13 +295,13 @@ def test_cover_rejects_flagged_graphs(ex57):
         with pytest.raises(DiagramError, match=r"^1 cylinders unresolved "
                            r"\(%s\); sweep counts would be unreliable$"
                            % cause):
-            cover_steps(d, mins, graph=hand)
+            cover_steps(hand, mins)
         # from y2 nothing leads back to y1: its top is the flagged one
         with pytest.raises(DiagramError, match=r"^no chain from "
                            r"1:root->y2#1\|2:y2->y2#1 to 1:root->y1#1\|"
                            r"2:y1->y1#1 at resolution 2\^-2 \(1 cylinders "
                            r"unresolved, %s\)$" % cause):
-            epsilon_chain(d, mins[1], mins[0], graph=hand)
+            epsilon_chain(hand, mins[1], mins[0])
 
 
 def test_cover_diverges_on_stalled_relation(ex57):
@@ -306,7 +311,7 @@ def test_cover_diverges_on_stalled_relation(ex57):
                      for p in enumerate_paths(ex57, v, 2))
     for direction in ("forward", "backward"):
         mins = [extreme_path(ex57, v, 2, MIN) for v in ("y1", "y2")]
-        res = cover_steps(ex57, mins, direction, graph=hand)
+        res = cover_steps(hand, mins, direction)
         assert isinstance(res, Diverges)
         assert res.steps == 1
         assert res.uncovered == v_floors
@@ -315,7 +320,7 @@ def test_cover_diverges_on_stalled_relation(ex57):
 
 def test_cover_meets_both_components(ex57):
     mins = [extreme_path(ex57, v, 2, MIN) for v in ("y1", "y2")]
-    steps = cover_steps(ex57, mins)
+    steps = cover_steps(tower_graph(ex57, 2), mins)
     assert isinstance(steps, int) and steps >= 1
     # oracle: breadth-first layers from the same seed set
     g = cylinder_graph(ex57, 2)
@@ -332,17 +337,17 @@ def test_cover_meets_both_components(ex57):
 
 def test_pseudo_orbit_closes_through_base(odometer):
     p = extreme_path(odometer, "v", 3, MIN)
-    orbit = pseudo_orbit(odometer, p)
+    tg = tower_graph(odometer, 3)
+    orbit = pseudo_orbit(tg, p)
     assert len(orbit) == 9
     assert orbit[0] == p and orbit[-1] == p
-    tg = tower_graph(odometer, 3)
     for x, y in zip(orbit, orbit[1:]):
         assert tg.rank(y, "y") in tg[tg.rank(x, "x")]
 
 
 def test_pseudo_orbit_on_mixed_tower(ex57):
     p = make_path(ex57, "v1", (0, 1))
-    orbit = pseudo_orbit(ex57, p)
+    orbit = pseudo_orbit(tower_graph(ex57, 2), p)
     assert orbit[0] == orbit[-1] == p
     assert len(set(orbit)) == len(orbit) - 1
 
@@ -351,7 +356,7 @@ def test_pseudo_orbit_requires_transitivity(two_odometers, five_vertex):
     for d in (two_odometers, five_vertex):
         p = make_path(d, d.vertices(2)[0], (0, 0))
         with pytest.raises(DiagramError, match="chain transitivity"):
-            pseudo_orbit(d, p)
+            pseudo_orbit(tower_graph(d, 2), p)
 
 
 def test_pseudo_orbit_needs_a_closed_chain():
@@ -362,7 +367,7 @@ def test_pseudo_orbit_needs_a_closed_chain():
     d = parse_diagram(json.dumps({"kind": "bratteli", "k": 1,
                                   "stationary": False, "levels": [level]}))
     hand = TowerGraph(d, 1, ((),), ())
-    assert chain_transitive(d, 1, graph=hand)[0] == HOLDS
+    assert chain_transitive(hand)[0] == HOLDS
     with pytest.raises(DiagramError, match="^no closed chain through "
                        "1:root->y#1$"):
-        pseudo_orbit(d, make_path(d, "y", (0,)), graph=hand)
+        pseudo_orbit(hand, make_path(d, "y", (0,)))

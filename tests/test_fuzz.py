@@ -17,6 +17,7 @@ from bratteli import (
     check_structure,
     dvectors,
     index_elements,
+    tower_graph,
     transition_graph,
     validate_ordered,
     validate_unordered,
@@ -90,5 +91,5 @@ def test_dvector_arithmetic(fuzz_corpus):
 def test_chain_transitive_spot_checks(fuzz_corpus, stride):
     # depth 6 over the whole corpus is the acceptance suite's job
     for name, d, _ in fuzz_corpus[::stride]:
-        verdict, witness = chain_transitive(d, 3)
+        verdict, witness = chain_transitive(tower_graph(d, 3))
         assert verdict == HOLDS, (name, witness)

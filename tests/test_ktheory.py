@@ -28,6 +28,7 @@ from bratteli import (
     bounded_norm_membership,
     check_index_relations,
     class_is_zero,
+    enumerate_paths,
     eq,
     index_elements,
     is_positive,
@@ -35,7 +36,6 @@ from bratteli import (
     parse_diagram,
     pushforward,
     rational_rank_lower_bound,
-    towers,
     transition_graph,
 )
 
@@ -91,8 +91,8 @@ def test_pushforwards_stops_at_presentation_end(ex57):
 def test_order_unit_is_tower_heights(ex57, ex82):
     # the level-1 unit pushes forward to the level-n tower heights
     for d, n in ((ex57, 3), (ex82, 4)):
-        part = towers(d, n)
-        heights = tuple(len(part.tower(v)) for v in part.vertices)
+        heights = tuple(len(list(enumerate_paths(d, v, n)))
+                        for v in d.vertices(n))
         assert pushforward(d, (1, d.path_counts(1)), n) == (n, heights)
 
 
@@ -178,7 +178,8 @@ _FIXTURES = ("example-5-7", "example-5-7-unordered", "example-8-2",
 @pytest.mark.parametrize("name", _FIXTURES)
 def test_finite_cut_answers_at_presentation_end(name, ideal, budget):
     # without a stationary tail every class is pushed to the last level
-    # and judged there, whatever the budget: nothing lies beyond it
+    # and judged there, whatever is_positive's budget: nothing lies
+    # beyond it
     doc = load_diagram(fixture_path(name + ".json")).to_json()
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
@@ -189,8 +190,7 @@ def test_finite_cut_answers_at_presentation_end(name, ideal, budget):
             _, cur = pushforward(d, (n, vec), end, ideal)
             zero = (HOLDS, {"vanishes_by": end}) if not any(cur) else \
                 (UNKNOWN, {"nonzero_through": end})
-            assert class_is_zero(d, n, vec, ideal, depth_budget=budget) \
-                == zero
+            assert class_is_zero(d, n, vec, ideal) == zero
             positive = (min(vec, default=0) >= 0
                         or min(cur, default=0) >= 0)
             assert is_positive(d, n, vec, ideal, depth_budget=budget) == (
@@ -203,8 +203,8 @@ def test_finite_cut_answers_at_presentation_end(name, ideal, budget):
                     want = UNKNOWN, {"exceeds_at": end}
                 else:
                     want = HOLDS, {"exhibited_through": end}
-                assert bounded_norm_membership(
-                    d, n, vec, bound, ideal, depth_budget=budget) == want
+                assert bounded_norm_membership(d, n, vec, bound,
+                                               ideal) == want
 
 
 # -- Sup-norm boxes ----------------------------------------------------------

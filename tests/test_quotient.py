@@ -60,17 +60,16 @@ def _check_against_oracle(d, depth):
     tg = tower_graph(d, depth)
     assert tg.size == len(ref)
     want = node_verdict(d, ref)
-    assert chain_transitive(d, depth, graph=tg) == want
-    assert chain_transitive(d, depth) == want
+    assert chain_transitive(tg) == want
     try:
         sets = node_saturation(d, ref)
     except DiagramError as exc:
-        _same_error(lambda: saturation_sizes(d, depth, graph=tg), exc)
-        _same_error(lambda: saturation_sets(d, depth, graph=tg), exc)
+        _same_error(lambda: saturation_sizes(tg), exc)
+        _same_error(lambda: saturation_sets(tg), exc)
         return "no cylinder"
-    sizes = saturation_sizes(d, depth, graph=tg)
+    sizes = saturation_sizes(tg)
     assert sizes == {i: len(s) for i, s in sets.items()}
-    assert saturation_sets(d, depth, graph=tg) == sets
+    assert saturation_sets(tg) == sets
     if want[0] == HOLDS:
         # chain transitivity lets every cylinder chain into every class
         assert set(sizes.values()) == {tg.size}
@@ -182,13 +181,13 @@ def test_random_tower_graphs_match_their_expansion(request, fixture, depth):
         g = tg.expand()
         want = node_verdict(d, g)
         seen.add(want[0])
-        assert chain_transitive(d, depth, graph=tg) == want
+        assert chain_transitive(tg) == want
         if not tg.flagged:
             assert (want[0] == HOLDS) == _strongly_connected(out), out
         sets = node_saturation(d, g)
-        sizes = saturation_sizes(d, depth, graph=tg)
+        sizes = saturation_sizes(tg)
         assert sizes == {i: len(s) for i, s in sets.items()}
-        assert saturation_sets(d, depth, graph=tg) == sets
+        assert saturation_sets(tg) == sets
         if want[0] == HOLDS:
             assert set(sizes.values()) == {tg.size}
         _check_path_queries(d, tg)
@@ -280,7 +279,7 @@ def _check_path_queries(d, tg):
                        unresolved) if walk is None
                     else [nodes[v] for v in walk])
             _expect_listing(lambda text=False: epsilon_chain(
-                d, nodes[s], nodes[t], graph=tg, text=text), want)
+                tg, nodes[s], nodes[t], text=text), want)
     verdict = node_verdict(d, g)[0]
     for s in picks:
         if verdict != HOLDS:
@@ -291,7 +290,7 @@ def _check_path_queries(d, tg):
             want = ("no closed chain through %s" % path_text(nodes[s])
                     if walk is None else [nodes[s]] + [nodes[v] for v in walk])
         _expect_listing(lambda text=False: pseudo_orbit(
-            d, nodes[s], graph=tg, text=text), want)
+            tg, nodes[s], text=text), want)
     try:
         fams = node_families(d, g)
         sets = [[fam[0] for fam in fams.values()],
@@ -306,15 +305,14 @@ def _check_path_queries(d, tg):
             want = _want_cover(d, g, fams, start, adj)
             if isinstance(want, tuple):
                 steps, left = want
-                res = cover_steps(d, [nodes[v] for v in start], direction,
-                                  graph=tg)
+                res = cover_steps(tg, [nodes[v] for v in start], direction)
                 assert isinstance(res, Diverges)
                 assert res.steps == steps
                 assert res.uncovered == tuple(path_text(nodes[v])
                                               for v in left)
             else:
-                _expect(lambda: cover_steps(d, [nodes[v] for v in start],
-                                            direction, graph=tg), want)
+                _expect(lambda: cover_steps(tg, [nodes[v] for v in start],
+                                            direction), want)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

@@ -1,4 +1,4 @@
-"""Every command the README shows runs as shown.
+"""Every command and library example the README shows runs as shown.
 
 The ``bratteli ...`` lines of the README's ``sh`` blocks (a trailing
 backslash continues a line) are run in process through ``cli.main``, in
@@ -6,6 +6,9 @@ a temporary directory, with the fixture paths made absolute.  Each must
 end with a verdict exit code (0, 1 or 3) and no internal error, so a
 flag that is removed cannot stay documented.  Run twice in one process,
 and again after a usage error, each prints the same bytes.
+
+Every ``python`` block is executed in process from the repository root,
+so a documented library call cannot drift from its signature.
 """
 
 import os
@@ -19,11 +22,14 @@ from bratteli.cli import main
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _readme_commands():
+def _readme_blocks(lang):
     with open(os.path.join(_ROOT, "README.md")) as fh:
-        text = fh.read()
+        return re.findall(r"```%s\n(.*?)```" % lang, fh.read(), re.S)
+
+
+def _readme_commands():
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+    for block in _readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line)
             if words[:1] == ["bratteli"]:
@@ -32,10 +38,19 @@ def _readme_commands():
 
 
 _COMMANDS = _readme_commands()
+_EXAMPLES = _readme_blocks("python")
 
 
 def test_readme_shows_commands():
     assert len(_COMMANDS) >= 10
+    assert len(_EXAMPLES) >= 2
+
+
+@pytest.mark.parametrize("source", _EXAMPLES,
+                         ids=["python-%d" % i for i in range(len(_EXAMPLES))])
+def test_readme_example_runs(source, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    exec(compile(source, "README.md", "exec"), {"__name__": "__readme__"})
 
 
 def _absolute(argv):

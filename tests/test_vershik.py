@@ -31,7 +31,6 @@ from bratteli import (
     path_text,
     predecessor,
     successor,
-    towers,
     traversal_matrix,
     vershik_step,
 )
@@ -110,24 +109,27 @@ def test_successor_is_the_lex_successor(ex57, data):
 
 # -- Towers ------------------------------------------------------------------
 
+def _tower(d, v, n, text=False):
+    """Floors of the level-n tower over v, ground first."""
+    return list(enumerate_paths(d, v, n, text=text))
+
+
 def test_tower_heights_equal_path_counts(ex57):
-    part = towers(ex57, 3)
-    assert [len(part.tower(v)) for v in part.vertices] == ex57.path_counts(3)
+    assert [len(_tower(ex57, v, 3)) for v in ex57.vertices(3)] == \
+        ex57.path_counts(3)
 
 
 def test_towers_climb_by_successor(ex82):
-    part = towers(ex82, 3)
-    assert part.level == 3
-    assert part.vertices == ex82.vertices(3)
-    assert [len(part.tower(v)) for v in part.vertices] == ex82.path_counts(3)
-    t = part.tower("2")
+    assert [len(_tower(ex82, v, 3)) for v in ex82.vertices(3)] == \
+        ex82.path_counts(3)
+    t = _tower(ex82, "2", 3)
     for a, b in zip(t, t[1:]):
         assert successor(ex82, a) == b
 
 
 def _check_tower_climb(d, n):
     for v in d.vertices(n):
-        floors = towers(d, n).tower(v)
+        floors = _tower(d, v, n)
         for a, b in zip(floors, floors[1:]):
             assert successor(d, a) == b
             assert predecessor(d, b) == a
@@ -223,10 +225,9 @@ def test_tower_texts_match_path_text(request):
     for name in FIXTURES:
         d = request.getfixturevalue(name)
         for n in range(1, 5):
-            part = towers(d, n)
-            for v in part.vertices:
-                assert part.tower(v, text=True) == \
-                    [path_text(p) for p in part.tower(v)]
+            for v in d.vertices(n):
+                assert _tower(d, v, n, text=True) == \
+                    [path_text(p) for p in _tower(d, v, n)]
 
 
 # -- Set-valued step on cylinders --------------------------------------------
