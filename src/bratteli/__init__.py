@@ -21,7 +21,8 @@ from .ktheory import (IndexSet, bounded_norm_membership,
                       rational_rank_lower_bound)
 from .order import (MAX, MIN, ExtremeChains, MarkerTable, Path,
                     enumerate_paths, extreme_chains, extreme_path, make_path,
-                    marker_level, path_text, pointer_map, validate_ordered)
+                    marker_level, path_text, pointer_map, tower_texts,
+                    validate_ordered)
 from .realize import (DVectors, Multigraph, NoWalk, euler_walk,
                       graphs_from_dvectors, load_dvectors, parse_dvectors,
                       synthesize_order)

@@ -31,8 +31,8 @@ from .dynamics import (Diverges, chain_transitive, cover_steps,
 from .ktheory import (bounded_norm_membership, check_index_relations,
                       class_is_zero, index_elements, is_positive, pushforward,
                       rational_rank_lower_bound)
-from .order import (MIN, _chains, enumerate_paths, extreme_path, make_path,
-                    marker_level, validate_ordered)
+from .order import (MIN, _chains, extreme_path, make_path, marker_level,
+                    tower_texts, validate_ordered)
 from .realize import load_dvectors, synthesize_order
 from .transgraph import index_pushforward, transition_graph
 from .vershik import Maximal, orbit
@@ -159,8 +159,7 @@ def cmd_towers(args):
     d = load_diagram(args.diagram)
     n = args.level
     vertices = d.vertices(n)
-    floors = {v: list(enumerate_paths(d, v, n, text=True))
-              for v in vertices}
+    floors = {v: tower_texts(d, n, v) for v in vertices}
     if args.format == "text":
         lines = []
         for v in vertices:
@@ -365,7 +364,7 @@ def cmd_kpush(args):
         vec = tuple(int(x) for x in args.vec.split(","))
     except ValueError:
         raise DiagramError("--vec wants a comma list of integers")
-    budget = _budget(args)
+    budget = _budget(args) if args.positive else None
     # pushing to its own level checks the level and the vector length
     pushforward(d, (args.level, vec), args.level, ideal=args.ideal)
     doc = {"level": args.level, "vector": list(vec)}

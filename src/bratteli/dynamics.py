@@ -13,8 +13,8 @@ its height: only the tower tops get a ``vershik_step``, and each of
 them lands on ground floors.  Verdicts, node counts and saturation
 sizes are read off the towers.  Epsilon-chains, pseudo-orbits and
 covering sweeps walk the floors as integers, numbered towers first and
-bottom up; a floor's out-list comes from its tower when it is asked
-for, and only the cylinders a query prints are turned back into paths.
+bottom up; a floor's out-list comes from its tower when asked for, and
+the cylinders a query prints are listed as ``tower_texts`` windows.
 The one graph with a node per cylinder is the ``--format dot`` drawing.
 
 A tower top's step is exact: its maximal continuations are walked
@@ -33,11 +33,13 @@ queries at one depth.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate, islice
 
 from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
-from .order import MAX, Path, enumerate_paths, extreme_path, path_text
+from .order import (MAX, Path, _path_counts, enumerate_paths, extreme_path,
+                    path_text, tower_texts)
 from .vershik import vershik_step
 
 
@@ -66,15 +68,9 @@ class TowerGraph:
         self.diagram = diagram
         self.depth = depth
         self.vertices = tuple(diagram.vertices(depth))
-        self.counts = [{ROOT: 1}]
-        for n in range(1, depth + 1):
-            lev, below = diagram.level(n), self.counts[-1]
-            self.counts.append({v: sum(below[s] for s in lev.fibers[v])
-                                for v in lev.ids})
+        self.counts = _path_counts(diagram, depth)
         self.heights = tuple(self.counts[depth][v] for v in self.vertices)
-        self.ground = [0]
-        for h in self.heights:
-            self.ground.append(self.ground[-1] + h)
+        self.ground = list(accumulate(self.heights, initial=0))
         self.size = self.ground[-1]
         self.out = tuple(tuple(sorted(t)) for t in out)
         self.rev = reverse(self.out)
@@ -137,16 +133,20 @@ class TowerGraph:
 
     def paths(self, floors, text=False):
         """The cylinders (``path_text`` if ``text``) on a sequence of
-        floors: a ``path`` and a walk up each run of one tower's floors."""
-        walk = nxt = end = None
+        floors: one ``tower_texts`` window, or one walk up from a
+        ``path``, per run of consecutive floors in one tower."""
+        runs = []       # [tower, first floor, floor past the last]
         for v in floors:
-            if v != nxt or v == end:
-                end = self.ground[bisect_right(self.ground, v)]
-                p = self.path(v)
-                walk = enumerate_paths(self.diagram, p.end, self.depth,
-                                       start=p, text=text)
-            nxt = v + 1
-            yield next(walk)
+            if runs and v == runs[-1][2] < self.ground[runs[-1][0] + 1]:
+                runs[-1][2] += 1
+            else:
+                runs.append([bisect_right(self.ground, v) - 1, v, v + 1])
+        d, n = self.diagram, self.depth
+        for t, lo, hi in runs:
+            g, u = self.ground[t], self.vertices[t]
+            yield from (tower_texts(d, n, u, lo - g, hi - g) if text else
+                        islice(enumerate_paths(d, u, n, start=self.path(lo)),
+                               hi - lo))
 
     def expand(self):
         """The CylinderGraph drawing this quotient, one node per floor."""

@@ -97,10 +97,10 @@ def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
     if not d.stationary:
         return UNKNOWN, {"checked_to": lvl}
     b = _block(d, d.depth, ideal)
-    cap = max(32, depth_budget, 4 * len(cur) + 4)
+    cap = min(max(32, depth_budget, 4 * len(cur) + 4), _CYCLE_CAP)
     seen = {}
     orbit = cur
-    for step in range(min(cap, _CYCLE_CAP)):
+    for step in range(cap):
         if all(e >= 0 for e in orbit):
             return HOLDS, {"non_negative_after": step}
         if orbit in seen:
@@ -110,7 +110,7 @@ def is_positive(d, n, vec, ideal=False, depth_budget=DEFAULT_BUDGET):
         orbit = _mat_vec(b, orbit)
     if any(_tail_kill(d, cur, ideal)):
         mirror = tuple(-e for e in cur)
-        for step in range(min(cap, _CYCLE_CAP)):
+        for step in range(cap):
             if all(e >= 0 for e in mirror):
                 return FAILS, {"negated_class_positive_after": step}
             mirror = _mat_vec(b, mirror)

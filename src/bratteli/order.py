@@ -91,23 +91,21 @@ def extreme_path(d, end, depth, kind):
 
 def path_text(p):
     """Render a path as pipe-joined edges, ranks counted from one."""
-    return "|".join(_segment(p.verts, p.ranks, j) for j in range(p.depth))
+    return "|".join(_edge(j + 1, p.verts[j - 1] if j else ROOT, p.verts[j],
+                          p.ranks[j]) for j in range(p.depth))
 
 
-def _segment(verts, ranks, j):
-    return "%d:%s->%s#%d" % (j + 1, verts[j - 1] if j else ROOT, verts[j],
-                             ranks[j] + 1)
+def _edge(n, src, dst, rank):
+    return "%d:%s->%s#%d" % (n, src, dst, rank + 1)
 
 
-def enumerate_paths(d, end, depth, start=None, reverse=False, text=False):
+def enumerate_paths(d, end, depth, start=None, reverse=False):
     """Yield the depth-``depth`` paths into ``end`` in lex order (descending
-    if ``reverse``) from ``start``, one of them, by default the first one;
-    as Paths, or as their ``path_text`` if ``text``.
+    if ``reverse``) from ``start``, one of them, by default the first one.
 
     Runs like an odometer: bump the shallowest edge not at the far end of
-    its fiber, refill the levels below it from the near end.  Rendered
-    edges are kept, so a bump at level j renders levels 1..j again only.
-    No recursion, so any depth works.
+    its fiber, refill the levels below it from the near end.  No
+    recursion, so any depth works.
     """
     if depth < 1:
         raise DiagramError("level index %d out of range" % depth)
@@ -115,9 +113,8 @@ def enumerate_paths(d, end, depth, start=None, reverse=False, text=False):
     if start is None:
         start = extreme_path(d, end, depth, MAX if reverse else MIN)
     verts, ranks = list(start.verts), list(start.ranks)
-    segs = [_segment(verts, ranks, j) for j in range(depth)] if text else ()
     while True:
-        yield "|".join(segs) if text else Path(verts, ranks)
+        yield Path(verts, ranks)
         for j, r in enumerate(ranks):
             if (r > 0 if reverse else r < len(fibers[j][verts[j]]) - 1):
                 break
@@ -128,8 +125,59 @@ def enumerate_paths(d, end, depth, start=None, reverse=False, text=False):
             # the levels below j take the near-end edges under it
             src = verts[lvl - 1] = fibers[lvl][verts[lvl]][ranks[lvl]]
             ranks[lvl - 1] = len(fibers[lvl - 1][src]) - 1 if reverse else 0
-        if text:
-            segs[:j + 1] = [_segment(verts, ranks, i) for i in range(j + 1)]
+
+
+def _path_counts(d, n):
+    """Paths from the root into each vertex, one dict per level 0 to n."""
+    counts = [{ROOT: 1}]
+    for m in range(1, n + 1):
+        lev, below = d.level(m), counts[-1]
+        counts.append({v: sum(below[s] for s in lev.fibers[v])
+                       for v in lev.ids})
+    return counts
+
+
+def tower_texts(d, n, v, lo=0, hi=None):
+    """The ``path_text`` of floors lo..hi-1 (clipped to the tower; by
+    default all) of the level-n tower over v, which stacks the level-(n-1)
+    towers over v's fiber in fiber order.  The window descends while it
+    lies in one child tower; where it splits, the children it covers whole
+    become pieces and the two boundary ones descend on.  The pieces'
+    towers are built bottom up once per level and vertex, without
+    recursion, so any depth works."""
+    counts = _path_counts(d, n)
+    lo, hi = max(lo, 0), min(counts[n][v], counts[n][v] if hi is None else hi)
+    pieces, need = [], [set() for _ in range(n + 1)]
+    todo = [(n, v, lo, hi, "")] if lo < hi else []
+    above = [""] * (n + 2)      # "|" and the level-j edge of the descent
+    while todo:
+        m, u, a, b, edge = todo.pop()
+        above[m + 1] = edge     # levels above keep its ancestors' edges
+        fib = d.fiber(m, u)
+        if m == 1 or (len(fib) > 1 and b - a == counts[m][u]):
+            pieces.append((m, u, a, b, "".join(above[m + 1:])))
+            need[m].add(u)
+            continue
+        off = counts[m][u]
+        for r in range(len(fib) - 1, -1, -1):   # popped ground first
+            h = counts[m - 1][fib[r]]
+            off -= h
+            if off < b and a < off + h:
+                todo.append((m - 1, fib[r], max(a - off, 0), min(b - off, h),
+                             "|" + _edge(m, fib[r], u, r)))
+    tops = {m for m, *_ in pieces}
+    for m in range(max(tops, default=0), 1, -1):
+        need[m - 1].update(s for u in need[m] for s in d.fiber(m, u))
+    built, below = {}, {ROOT: [""]}
+    for m in range(1, max(tops, default=0) + 1):
+        sep, fibers = "|" if m > 1 else "", d.level(m).fibers
+        below = {u: [t + e for r, s in enumerate(fibers[u])
+                     for e in (sep + _edge(m, s, u, r),) for t in below[s]]
+                 for u in d.vertices(m) if u in need[m]}
+        if m in tops:       # other levels are dropped once used
+            built[m] = below
+    return [t + tail for m, u, a, b, tail in pieces
+            for t in built[m][u][a:b]]
 
 
 def pointer_map(d, n, kind):

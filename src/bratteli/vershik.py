@@ -6,7 +6,8 @@ successor among paths with the same range.  A path whose edges are all
 fiber-maximal has no successor at its depth: it is the top floor of its
 tower, and the set-valued ``vershik_step`` describes where deeper
 extensions land after the increment happens further up.  The floors of
-the level-n tower over v, ground first, are ``enumerate_paths(d, v, n)``.
+the level-n tower over v, ground first, are ``enumerate_paths(d, v, n)``,
+and ``tower_texts(d, n, v, lo, hi)`` lists a window of their texts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .order import (MAX, MIN, Path, _breaks, _chains, _landings,
-                    enumerate_paths, extreme_path)
+                    _path_counts, enumerate_paths, extreme_path, tower_texts)
 
 
 class _Extreme:
@@ -143,9 +144,17 @@ def orbit(d, p, steps, reverse=False, text=False):
     ``text``); terminal is the Maximal (Minimal) marker of the tower's top
     (ground) floor where the walk stopped early, else None.
     """
-    paths = list(islice(enumerate_paths(d, p.end, p.depth, start=p,
-                                        reverse=reverse, text=text),
-                        steps + 1))
+    if text:
+        counts = _path_counts(d, p.depth)
+        # each edge of p passes over the paths into the sources before it
+        floor = sum(counts[j][s] for j in range(p.depth)
+                    for s in d.fiber(j + 1, p.verts[j])[:p.ranks[j]])
+        lo = floor - steps if reverse else floor
+        texts = tower_texts(d, p.depth, p.end, lo, lo + steps + 1)
+        paths = texts[::-1] if reverse else texts
+    else:
+        paths = list(islice(enumerate_paths(d, p.end, p.depth, start=p,
+                                            reverse=reverse), steps + 1))
     if len(paths) > steps:
         return paths, None
     kind, mark = (MIN, Minimal) if reverse else (MAX, Maximal)

@@ -578,16 +578,32 @@ def test_kpush_validates_without_check_flags(capsys, level, vec):
     assert err.startswith("error:")
 
 def test_budget_env_is_read_and_validated(capsys, monkeypatch):
+    # only --positive reads the budget, so only there can a bad one fail
     monkeypatch.setenv("BDK_BUDGET", "junk")
-    code, _, err = _run(capsys, "kpush", _fx("example-8-2.json"),
-                        "--level", "1", "--vec", "1,1", "--ideal", "--zero")
-    assert code == 2
-    assert "BDK_BUDGET" in err
-    monkeypatch.setenv("BDK_BUDGET", "4")
     code, out, _ = _run(capsys, "kpush", _fx("example-8-2.json"),
                         "--level", "1", "--vec", "1,1", "--ideal", "--zero")
     assert code == 1
     assert json.loads(out)["checks"][0]["witness"] == {"persistent_from": 2}
+    code, _, err = _run(capsys, "kpush", _fx("example-8-2.json"),
+                        "--level", "1", "--vec", "1,-1", "--ideal",
+                        "--positive")
+    assert code == 2
+    assert "BDK_BUDGET" in err
+    monkeypatch.setenv("BDK_BUDGET", "40")
+    code, out, _ = _run(capsys, "kpush", _fx("example-8-2.json"),
+                        "--level", "1", "--vec", "1,-1", "--ideal",
+                        "--positive")
+    assert code == 3
+    assert json.loads(out)["checks"][0]["witness"] == {"orbit_checked": 40}
+
+
+def test_positive_witness_counts_the_steps_walked(capsys):
+    # both orbit walks stop at 4096 steps, whatever the budget
+    code, out, _ = _run(capsys, "kpush", _fx("example-8-2.json"),
+                        "--level", "1", "--vec", "1,-1", "--ideal",
+                        "--positive", "--budget", "10000")
+    assert code == 3
+    assert json.loads(out)["checks"][0]["witness"] == {"orbit_checked": 4096}
 
 
 # -- The JSON writer -----------------------------------------------------------

@@ -31,6 +31,7 @@ from bratteli import (
     path_text,
     predecessor,
     successor,
+    tower_texts,
     traversal_matrix,
     vershik_step,
 )
@@ -110,8 +111,9 @@ def test_successor_is_the_lex_successor(ex57, data):
 # -- Towers ------------------------------------------------------------------
 
 def _tower(d, v, n, text=False):
-    """Floors of the level-n tower over v, ground first."""
-    return list(enumerate_paths(d, v, n, text=text))
+    """Floors of the level-n tower over v, ground first (their texts if
+    ``text``)."""
+    return tower_texts(d, n, v) if text else list(enumerate_paths(d, v, n))
 
 
 def test_tower_heights_equal_path_counts(ex57):
