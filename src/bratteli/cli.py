@@ -151,7 +151,7 @@ def cmd_telescope(args):
     if args.format == "text":
         _emit(out.to_text(), args)
     else:
-        _emit(out.to_json(), args)
+        _emit(out.to_json_text(), args)
     return 0
 
 
@@ -274,7 +274,7 @@ def cmd_synthesize(args):
     if args.format == "text":
         _emit(out.to_text(), args)
     else:
-        _emit(out.to_json(), args)
+        _emit(out.to_json_text(), args)
     return 0
 
 

@@ -14,6 +14,7 @@ the ordered machinery) and is preserved by every construction here.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _ascii
 
 from ._report import (DiagramError, FAILS, HOLDS, UNKNOWN, ValidationReport,
                       worst)
@@ -26,21 +27,28 @@ DEFAULT_BUDGET = 10
 # guards the matrix-power cycle searches against pathological blow-up
 _MAX_POWER_ITER = 10000
 
+# one vertex, its class, and the two halves of one edge in
+# Diagram.to_json_text
+_VERTEX = ('\n        {\n          "id": %s,\n          "class": %s'
+           '\n        }')
+_MINIMAL = '{\n            "minimal": %d\n          }'
+_SOURCE = '\n        {\n          "source": %s,'
+_RANGE = '\n          "range": %s\n        }'
+
 
 class Level:
-    """One explicit level: vertex ids in listing order, labels, edge list."""
+    """One explicit level: vertex ids in listing order, labels, edge list,
+    and each vertex's fiber, the tuple of its edges' sources in listing
+    order.  Its builders group the fibers as they make the edges."""
 
     __slots__ = ("ids", "index", "labels", "edges", "fibers")
 
-    def __init__(self, ids, labels, edges):
+    def __init__(self, ids, labels, edges, fibers):
         self.ids = tuple(ids)
         self.index = {v: i for i, v in enumerate(self.ids)}
-        self.labels = dict(labels)
-        self.edges = tuple((s, r) for (s, r) in edges)
-        fibers = {v: [] for v in self.ids}
-        for s, r in self.edges:
-            fibers[r].append(s)
-        self.fibers = {v: tuple(srcs) for v, srcs in fibers.items()}
+        self.labels = labels
+        self.edges = tuple(edges)
+        self.fibers = fibers
 
 
 class Diagram:
@@ -130,18 +138,28 @@ class Diagram:
             vec = _mat_vec(self.incidence(j), vec)
         return list(vec)
 
-    def to_json(self):
-        levels = []
-        for lev in self.levels:
-            vs = []
-            for v in lev.ids:
-                lab = lev.labels[v]
-                cls = "other" if lab == OTHER else {"minimal": lab}
-                vs.append({"id": v, "class": cls})
-            es = [{"source": s, "range": r} for (s, r) in lev.edges]
-            levels.append({"vertices": vs, "edges": es})
-        return {"kind": "bratteli", "k": self.k, "stationary": self.stationary,
-                "levels": levels}
+    def to_json_text(self):
+        """The text ``json.dumps(doc, indent=2) + "\\n"`` gives for the
+        diagram's document, written from the levels: each id is escaped
+        once per level and pasted into fixed vertex and edge templates."""
+        out = ['{\n  "kind": "bratteli",\n  "k": %d,\n  "stationary": %s,'
+               '\n  "levels": [' % (self.k, json.dumps(self.stationary))]
+        sources = {ROOT: _SOURCE % '"root"'}
+        for n, lev in enumerate(self.levels):
+            quoted = {v: _ascii(v) for v in lev.ids}
+            labels = lev.labels
+            vs = ",".join([_VERTEX % (q, '"other"' if labels[v] == OTHER
+                                      else _MINIMAL % labels[v])
+                           for v, q in quoted.items()])
+            ranges = {v: _RANGE % q for v, q in quoted.items()}
+            es = ",".join([sources[s] + ranges[r] for s, r in lev.edges])
+            out.append('%s\n    {\n      "vertices": %s,\n      "edges": %s'
+                       '\n    }' % ("," if n else "",
+                                    "[%s\n      ]" % vs if vs else "[]",
+                                    "[%s\n      ]" % es if es else "[]"))
+            sources = {v: _SOURCE % q for v, q in quoted.items()}
+        out.append("\n  ]\n}\n")
+        return "".join(out)
 
     def to_text(self):
         head = "k=%d, %s, %d explicit levels" % (
@@ -175,24 +193,24 @@ def parse_diagram(text):
         raise DiagramError('"levels" must be a non-empty array', "levels")
 
     levels = []
-    prev_ids = None
+    below = {ROOT: 0}       # the ids an edge source may name
+    starving = None         # the first vertex without an outgoing edge
     for li, raw in enumerate(raw_levels):
-        loc = "levels[%d]" % li
         if not isinstance(raw, dict):
-            raise DiagramError("level must be an object", loc)
+            raise DiagramError("level must be an object", "levels[%d]" % li)
         rverts = raw.get("vertices")
         if not isinstance(rverts, list) or not rverts:
-            raise DiagramError("vertices must be a non-empty array", loc)
-        ids, labels = [], {}
+            raise DiagramError("vertices must be a non-empty array",
+                               "levels[%d]" % li)
+        labels = {}
         for vi, rv in enumerate(rverts):
-            vloc = "%s.vertices[%d]" % (loc, vi)
             if not isinstance(rv, dict) or not isinstance(rv.get("id"), str):
-                raise DiagramError('vertex needs a string "id"', vloc)
+                raise DiagramError('vertex needs a string "id"', _at(li, vi))
             vid = rv["id"]
             if vid in labels:
-                raise DiagramError("duplicate vertex id %r" % vid, vloc)
+                raise DiagramError("duplicate vertex id %r" % vid, _at(li, vi))
             if vid == ROOT:
-                raise DiagramError('"root" is reserved', vloc)
+                raise DiagramError('"root" is reserved', _at(li, vi))
             cls = rv.get("class")
             if cls == "other":
                 lab = OTHER
@@ -200,58 +218,60 @@ def parse_diagram(text):
                 lab = cls["minimal"]
                 if not 1 <= lab <= k:
                     raise DiagramError(
-                        "minimal component %d outside 1..%d" % (lab, k), vloc)
+                        "minimal component %d outside 1..%d" % (lab, k),
+                        _at(li, vi))
             else:
                 raise DiagramError(
-                    'vertex class must be "other" or {"minimal": i}', vloc)
-            ids.append(vid)
+                    'vertex class must be "other" or {"minimal": i}',
+                    _at(li, vi))
             labels[vid] = lab
         redges = raw.get("edges")
         if not isinstance(redges, list):
-            raise DiagramError("edges must be an array", loc)
-        idset = set(ids)
+            raise DiagramError("edges must be an array", "levels[%d]" % li)
+        fibers = {v: [] for v in labels}
         edges = []
         for ei, re in enumerate(redges):
-            eloc = "%s.edges[%d]" % (loc, ei)
             if (not isinstance(re, dict) or not isinstance(re.get("source"), str)
                     or not isinstance(re.get("range"), str)):
-                raise DiagramError('edge needs string "source" and "range"', eloc)
+                raise DiagramError('edge needs string "source" and "range"',
+                                   _at(li, ei, "edges"))
             s, r = re["source"], re["range"]
-            if r not in idset:
-                raise DiagramError("dangling range id %r" % r, eloc)
-            if li == 0:
-                if s != ROOT:
-                    raise DiagramError('level-1 edges must use source "root"', eloc)
-            else:
-                if s not in prev_ids:
-                    raise DiagramError("dangling source id %r" % s, eloc)
+            fiber = fibers.get(r)
+            if fiber is None:
+                raise DiagramError("dangling range id %r" % r,
+                                   _at(li, ei, "edges"))
+            if s not in below:
+                raise DiagramError(
+                    "dangling source id %r" % s if li
+                    else 'level-1 edges must use source "root"',
+                    _at(li, ei, "edges"))
+            fiber.append(s)
             edges.append((s, r))
-        lev = Level(ids, labels, edges)
-        for v in ids:
-            if not lev.fibers[v]:
+        for v, fiber in fibers.items():
+            if not fiber:
                 raise DiagramError(
                     "r not surjective: vertex %r has no incoming edge" % v,
-                    "%s.vertices" % loc)
-        levels.append(lev)
-        prev_ids = idset
+                    "levels[%d].vertices" % li)
+            fibers[v] = tuple(fiber)
+        # every vertex must keep flowing forward while deeper levels
+        # exist; reported only once every level has been read
+        if starving is None and li:
+            used = set().union(*fibers.values())
+            if len(used) < len(below):
+                v = next(v for v in below if v not in used)
+                starving = DiagramError(
+                    "vertex %r at level %d has no outgoing edge" % (v, li),
+                    "levels[%d]" % (li - 1))
+        levels.append(Level(tuple(labels), labels, edges, fibers))
+        below = labels
+    if starving is not None:
+        raise starving
+    return Diagram(levels, k, stationary)
 
-    # every vertex must keep flowing forward while deeper levels exist
-    for li in range(len(levels) - 1):
-        sources = {s for (s, _) in levels[li + 1].edges}
-        for v in levels[li].ids:
-            if v not in sources:
-                raise DiagramError(
-                    "vertex %r at level %d has no outgoing edge" % (v, li + 1),
-                    "levels[%d]" % li)
-    d = Diagram(levels, k, stationary)
-    if stationary:
-        sources = {s for (s, _) in levels[-1].edges}
-        for v in levels[-1].ids:
-            if v not in sources:
-                raise DiagramError(
-                    "vertex %r starves in the repeated block" % v,
-                    "levels[%d]" % (len(levels) - 1))
-    return d
+
+def _at(li, i, part="vertices"):
+    """The location of the i-th vertex (or edge) of level li + 1."""
+    return "levels[%d].%s[%d]" % (li, part, i)
 
 
 def load_diagram(path):
@@ -516,11 +536,9 @@ def telescope(d, levels):
     for j in range(1, len(levels)):
         a, b = levels[j - 1], levels[j]
         lev = d.level(b)
-        edges = []
-        for v in lev.ids:
-            for s in comp_sources(a, b, v):
-                edges.append((s, v))
-        new_levels.append(Level(lev.ids, lev.labels, edges))
+        fibers = {v: tuple(comp_sources(a, b, v)) for v in lev.ids}
+        edges = [(s, v) for v in lev.ids for s in fibers[v]]
+        new_levels.append(Level(lev.ids, lev.labels, edges, fibers))
 
     gaps = {b - a for a, b in zip(levels, levels[1:])}
     stat = (d.stationary and len(gaps) == 1 and len(new_levels) >= 2

@@ -38,8 +38,8 @@ from itertools import accumulate, islice
 from ._graph import reach, reverse, sccs, shortest_path
 from ._report import FAILS, HOLDS, UNKNOWN, DiagramError
 from .diagram import OTHER, ROOT
-from .order import (MAX, Path, _path_counts, enumerate_paths, extreme_path,
-                    path_text, tower_texts)
+from .order import (MAX, Path, _path_counts, _tower_texts, enumerate_paths,
+                    extreme_path, path_text)
 from .vershik import vershik_step
 
 
@@ -144,7 +144,8 @@ class TowerGraph:
         d, n = self.diagram, self.depth
         for t, lo, hi in runs:
             g, u = self.ground[t], self.vertices[t]
-            yield from (tower_texts(d, n, u, lo - g, hi - g) if text else
+            yield from (_tower_texts(d, self.counts, n, u, lo - g, hi - g)
+                        if text else
                         islice(enumerate_paths(d, u, n, start=self.path(lo)),
                                hi - lo))
 

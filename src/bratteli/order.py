@@ -145,7 +145,11 @@ def tower_texts(d, n, v, lo=0, hi=None):
     become pieces and the two boundary ones descend on.  The pieces'
     towers are built bottom up once per level and vertex, without
     recursion, so any depth works."""
-    counts = _path_counts(d, n)
+    return _tower_texts(d, _path_counts(d, n), n, v, lo, hi)
+
+
+def _tower_texts(d, counts, n, v, lo, hi):
+    """``tower_texts`` with the path counts of levels 0..n given."""
     lo, hi = max(lo, 0), min(counts[n][v], counts[n][v] if hi is None else hi)
     pieces, need = [], [set() for _ in range(n + 1)]
     todo = [(n, v, lo, hi, "")] if lo < hi else []

@@ -431,6 +431,7 @@ def synthesize_order(d, dv):
                 fibers[x] = _assemble_flat_fiber(d, n, x, lo, hi)
             else:
                 fibers[x] = _assemble_walk_fiber(d, n, x, arc_graph, lo, hi)
+        fibers = {x: tuple(fiber) for x, fiber in fibers.items()}
         edges = [(s, r) for r in lev.ids for s in fibers[r]]
-        new_levels.append(Level(lev.ids, lev.labels, edges))
+        new_levels.append(Level(lev.ids, lev.labels, edges, fibers))
     return Diagram(new_levels, d.k, d.stationary)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from itertools import islice
 
 from .order import (MAX, MIN, Path, _breaks, _chains, _landings,
-                    _path_counts, enumerate_paths, extreme_path, tower_texts)
+                    _path_counts, _tower_texts, enumerate_paths,
+                    extreme_path)
 
 
 class _Extreme:
@@ -150,7 +151,7 @@ def orbit(d, p, steps, reverse=False, text=False):
         floor = sum(counts[j][s] for j in range(p.depth)
                     for s in d.fiber(j + 1, p.verts[j])[:p.ranks[j]])
         lo = floor - steps if reverse else floor
-        texts = tower_texts(d, p.depth, p.end, lo, lo + steps + 1)
+        texts = _tower_texts(d, counts, p.depth, p.end, lo, lo + steps + 1)
         paths = texts[::-1] if reverse else texts
     else:
         paths = list(islice(enumerate_paths(d, p.end, p.depth, start=p,

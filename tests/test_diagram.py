@@ -14,7 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import fixture_path, make_level, to_json
 from bratteli import (
     DiagramError,
     FAILS,
@@ -212,7 +212,7 @@ def test_arbitrary_json_raises_only_diagram_error(ex57, data):
     # arbitrary values, and valid documents with one subtree replaced
     with open(fixture_path("example-5-7.d.json")) as fh:
         dv_doc = json.load(fh)
-    bases = {"diagram": ex57.to_json(), "dvectors": dv_doc}
+    bases = {"diagram": to_json(ex57), "dvectors": dv_doc}
     kind = data.draw(st.sampled_from(sorted(bases)))
     value = data.draw(_JSON)
     doc = value if data.draw(st.integers(0, 3)) == 3 else _graft(
@@ -238,7 +238,7 @@ def test_stationary_levels_repeat_past_depth(ex57):
 
 def test_non_stationary_depth_is_hard(two_odometers):
     # two-odometers is presented stationary; reparse it as a finite diagram
-    doc = two_odometers.to_json()
+    doc = to_json(two_odometers)
     doc["stationary"] = False
     d = _parse(doc)
     assert d.has_level(d.depth)
@@ -301,7 +301,7 @@ def test_telescope_requires_root_anchor(ex57):
 
 
 def test_telescope_beyond_presentation(two_odometers):
-    doc = two_odometers.to_json()
+    doc = to_json(two_odometers)
     doc["stationary"] = False
     d = _parse(doc)
     with pytest.raises(DiagramError, match="beyond presentation"):
@@ -480,13 +480,13 @@ def test_connectivity_search_stops_at_the_budget_floor():
 def test_connectivity_search_stops_at_the_iteration_cap(monkeypatch):
     """Whatever the budget, a search ends after _MAX_POWER_ITER products;
     with the cap raised the same search reaches the join."""
-    from bratteli import Level, diagram
+    from bratteli import diagram
     # 10,007 levels, built directly so one Level serves every copy
     ids, labels = ("a", "b"), {"a": 1, "b": 1}
-    first = Level(ids, labels, [("root", "a"), ("root", "b")])
-    ident = Level(ids, labels, [("a", "a"), ("b", "b")])
-    full = Level(ids, labels, [("a", "a"), ("b", "a"), ("a", "b"),
-                               ("b", "b")])
+    first = make_level(ids, labels, [("root", "a"), ("root", "b")])
+    ident = make_level(ids, labels, [("a", "a"), ("b", "b")])
+    full = make_level(ids, labels, [("a", "a"), ("b", "a"), ("a", "b"),
+                                    ("b", "b")])
     d = Diagram([first] + [ident] * 10004 + [full] * 2, 1, False)
 
     def positive(mat):
@@ -535,8 +535,8 @@ def test_single_level_connectivity_unverifiable():
 
 def test_json_round_trip(ex57, ex82, five_vertex):
     for d in (ex57, ex82, five_vertex):
-        again = _parse(d.to_json())
-        assert again.to_json() == d.to_json()
+        again = _parse(to_json(d))
+        assert to_json(again) == to_json(d)
         assert again.k == d.k
         assert again.stationary == d.stationary
 

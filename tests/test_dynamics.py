@@ -48,6 +48,7 @@ from bratteli import (
     successor,
     tower_graph,
 )
+from conftest import to_json
 
 
 # -- Rendering ---------------------------------------------------------------
@@ -149,7 +150,7 @@ def test_elementary_fixture_failure_is_monotone(five_vertex):
 
 def _finite(d):
     """d cut to its explicit levels."""
-    doc = d.to_json()
+    doc = to_json(d)
     doc["stationary"] = False
     return parse_diagram(json.dumps(doc))
 

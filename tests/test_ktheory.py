@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, to_json
 from bratteli import (
     FAILS,
     HOLDS,
@@ -80,7 +80,7 @@ def test_pushforwards_lists_trajectory(ex82):
 
 
 def test_pushforwards_stops_at_presentation_end(ex57):
-    doc = ex57.to_json()
+    doc = to_json(ex57)
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
     assert pushforward(d, (1, (1, 0, 0, 0)), 2)[0] == 2
@@ -142,7 +142,7 @@ def test_eq_identifies_vectors_across_levels():
 
 
 def test_eq_unknown_without_stationarity(ex57):
-    doc = ex57.to_json()
+    doc = to_json(ex57)
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
     verdict, wit = eq(d, (1, (1, 0, 0, 0)), (1, (0, 0, 0, 1)))
@@ -180,7 +180,7 @@ def test_finite_cut_answers_at_presentation_end(name, ideal, budget):
     # without a stationary tail every class is pushed to the last level
     # and judged there, whatever is_positive's budget: nothing lies
     # beyond it
-    doc = load_diagram(fixture_path(name + ".json")).to_json()
+    doc = to_json(load_diagram(fixture_path(name + ".json")))
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
     end = d.depth
@@ -243,7 +243,7 @@ def test_singular_tail_escape_stays_unknown():
 
 
 def test_nonstationary_box_answers_are_relative(ex82):
-    doc = ex82.to_json()
+    doc = to_json(ex82)
     doc["stationary"] = False
     d = parse_diagram(json.dumps(doc))
     verdict, wit = bounded_norm_membership(d, 1, (1, 1), 1)

@@ -14,10 +14,7 @@ Core claims:
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 
 import pytest
@@ -25,12 +22,10 @@ import pytest
 from bratteli import (enumerate_paths, load_diagram, make_path, orbit,
                       path_text, tower_graph, tower_texts)
 from bratteli.cli import main
-from conftest import fixture_path
+from conftest import fixture_path, runs_under_hash_seeds
 
 FIXTURES = ["ex57", "ex57_unordered", "ex82", "five_vertex", "odometer",
             "two_odometers"]
-
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _windows(h, rng):
@@ -137,20 +132,6 @@ def test_deep_orbit_prints_the_walker_bytes(capsys, depth, steps, reverse,
     assert elapsed < 1.0
 
 
-_DRIVER = """
-import contextlib, io, json, sys
-from bratteli.cli import main
-res = []
-for argv in json.loads(sys.stdin.read()):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \\
-            contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    res.append([code, out.getvalue()])
-print(json.dumps(res))
-"""
-
-
 def _listing_forms():
     rng = random.Random(4)
     forms = []
@@ -173,16 +154,6 @@ def _listing_forms():
 
 
 def test_listings_are_the_same_under_every_hash_seed():
-    forms = json.dumps(_listing_forms())
-    runs = []
-    for seed in ("0", "1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [os.path.join(_ROOT, "src")]
-                       + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        proc = subprocess.run([sys.executable, "-c", _DRIVER], input=forms,
-                              capture_output=True, text=True, env=env,
-                              check=True)
-        runs.append(json.loads(proc.stdout))
+    runs = runs_under_hash_seeds(_listing_forms())
     assert runs[0] == runs[1] == runs[2]
     assert {code for code, _ in runs[0]} == {0, 1, 2}

@@ -34,6 +34,7 @@ from bratteli import (
     transition_graph,
     validate_ordered,
 )
+from conftest import to_json
 
 
 def _parse(doc):
@@ -42,7 +43,7 @@ def _parse(doc):
 
 def _reorder_fiber(d, level, vertex, order):
     """Rebuild d with the incoming edges of one vertex listed in ``order``."""
-    doc = d.to_json()
+    doc = to_json(d)
     raw = doc["levels"][level - 1]["edges"]
     mine = [e for e in raw if e["range"] == vertex]
     assert sorted(e["source"] for e in mine) == sorted(order)
@@ -167,7 +168,7 @@ def test_chains_reject_extreme_path_in_remainder():
 
 def test_chains_reject_two_chains_in_one_component(two_odometers):
     # relabel both odometer columns into one component: two fixed points
-    doc = two_odometers.to_json()
+    doc = to_json(two_odometers)
     for lev in doc["levels"]:
         for v in lev["vertices"]:
             v["class"] = {"minimal": 1}
@@ -204,7 +205,7 @@ def test_chains_reject_a_chain_leaving_its_component():
 
 
 def test_nonstationary_chains_stay_unknown(ex57):
-    doc = ex57.to_json()
+    doc = to_json(ex57)
     doc["levels"].append(doc["levels"][1])
     doc["stationary"] = False
     chains = extreme_chains(_parse(doc), MIN)
@@ -409,7 +410,7 @@ def test_maximal_v_o_edge_routes_through_its_break(first, verdict, refills):
 
 
 def test_nonstationary_routing_is_relative(ex57):
-    doc = ex57.to_json()
+    doc = to_json(ex57)
     doc["levels"].append(doc["levels"][1])
     doc["stationary"] = False
     rep = validate_ordered(_parse(doc))

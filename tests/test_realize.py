@@ -34,7 +34,7 @@ from bratteli import (
     validate_ordered,
 )
 
-from conftest import fixture_path
+from conftest import fixture_path, to_json
 
 
 @pytest.fixture(scope="module")
@@ -248,14 +248,14 @@ def test_zero_vector_needs_component_neighbor():
 
 def test_synthesis_reproduces_ordered_fixture(ex57, ex57_unordered, dv57):
     out = synthesize_order(ex57_unordered, dv57)
-    assert out.to_json() == ex57.to_json()
+    assert to_json(out) == to_json(ex57)
     for n in (1, 2):
         assert out.level(n).edges == ex57.level(n).edges
 
 
 def test_synthesis_validates_and_realizes(five_vertex, dv5v):
     # scramble the fixture's edge listing, then re-synthesize
-    doc = five_vertex.to_json()
+    doc = to_json(five_vertex)
     for lev in doc["levels"]:
         lev["edges"].sort(key=lambda e: (e["source"], e["range"]))
     raw = parse_diagram(json.dumps(doc))
@@ -310,7 +310,7 @@ def test_synthesis_requires_full_cover(ex57_unordered):
     dv = parse_dvectors({"d": [{"level": 2, "values":
                                 {"v1": [-1, 1], "v2": [1, -1]}}],
                          "stationary": False})
-    doc = ex57_unordered.to_json()
+    doc = to_json(ex57_unordered)
     doc["levels"].append(doc["levels"][1])
     doc["stationary"] = False
     d3 = parse_diagram(json.dumps(doc))

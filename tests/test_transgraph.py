@@ -27,6 +27,7 @@ from bratteli import (
     other_block,
     transition_graph,
 )
+from conftest import make_level, to_json
 
 
 def test_transition_graph_of_two_remainder_fixture(ex57):
@@ -129,7 +130,7 @@ def test_lift_edge_catches_broken_walk(ex57):
     """Swapping the interior V_o edges makes the label sequence chain
     incompatibly, which the replay must refuse."""
     import json
-    doc = ex57.to_json()
+    doc = to_json(ex57)
     edges = doc["levels"][1]["edges"]
     v1_pos = [i for i, e in enumerate(edges) if e["range"] == "v1"]
     # listed fiber of v1 is (y2, v1, v2, v1, y1); swap positions 1 and 2
@@ -204,7 +205,7 @@ def test_lift_edge_catches_multiplicity_mismatch(ex57):
     """The incidence skips root-sourced edges, so a V_o vertex named
     ``root`` is the one way a label count can disagree with it.  The
     parser refuses that id, so this diagram is built directly."""
-    from bratteli import Diagram, Level
+    from bratteli import Diagram
     name = {"v1": "root"}
     levels = []
     for n in (1, 2):
@@ -213,7 +214,7 @@ def test_lift_edge_catches_multiplicity_mismatch(ex57):
         labels = {name.get(v, v): lab for v, lab in lev.labels.items()}
         edges = [(s if n == 1 else name.get(s, s), name.get(r, r))
                  for s, r in lev.edges]
-        levels.append(Level(ids, labels, edges))
+        levels.append(make_level(ids, labels, edges))
     d = Diagram(levels, 2, True)
     assert d.fiber(2, "v2") == ("y1", "v2", "root", "v2", "y2")
     assert d.incidence(1)[2] == (1, 0, 2, 1)

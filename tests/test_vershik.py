@@ -35,6 +35,7 @@ from bratteli import (
     traversal_matrix,
     vershik_step,
 )
+from conftest import to_json
 from cylinder_oracle import recursive_paths
 
 FIXTURES = ["ex57", "ex82", "five_vertex", "odometer", "two_odometers"]
@@ -259,7 +260,7 @@ def test_maximal_vo_window_lands_on_min_windows(ex57):
 
 def test_unresolved_step_on_short_presentation(ex57):
     # cut the diagram to its explicit levels: the walk runs off the end
-    doc = ex57.to_json()
+    doc = to_json(ex57)
     doc["stationary"] = False
     from bratteli import parse_diagram
     import json as _json
